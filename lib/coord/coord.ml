@@ -12,12 +12,18 @@
    batch inside the Prepare of the shard that owns the group, so the
    remote delta commits or dies atomically with the global decision.
 
-   Durability follows presumed abort with a forced begin record: before
-   the first Prepare message the participant set is forced to the
-   coordinator's own WAL (a Log_record.Prepare with the ids in the
-   payload), and the decision is forced before the first Decide message.
-   Recovery therefore re-delivers the logged decision for every started
-   transaction and presumed-aborts the rest; participants answer
+   Durability follows presumed abort: the participant set is appended
+   (not forced) to the coordinator's own WAL as a begin record (a
+   Log_record.Prepare with the ids in the payload) before the first
+   Prepare message, and only a commit decision is forced — before the
+   first Decide message, which also makes the begin record stable. An
+   abort decision is appended unforced: lost, it still reads as abort.
+   Recovery re-delivers the logged decision for every started
+   transaction, and learns the in-doubt transactions whose begin record
+   was lost by asking every shard (sys.indoubt), presume-aborting the
+   ones carrying this coordinator's name. Global transaction ids come
+   from forced reservation blocks, so a restarted coordinator never
+   reissues an id a shard may still hold. Participants answer
    retransmits idempotently from their dedupe tables, which is also what
    makes the coordinator's reconnect-and-resend retry safe. *)
 
@@ -96,6 +102,12 @@ type t = {
   metrics : Metrics.t;
   ctrace : Trace.t;
   mutable next_gid : int;
+  (* ids up to here are covered by a forced Gtxn_reserve record; issuing
+     past it forces the next block of [gid_block] first *)
+  mutable gid_reserved : int;
+  (* shards whose sys.indoubt the last [recover] could not read: they may
+     hold gtxns of ours no log record names, so re-delivery reads them *)
+  mutable unpulled : int list;
   (* coordinator-assigned correlation id: one per routed statement,
      stamped on every shard-bound frame that statement causes *)
   mutable next_rid : int;
@@ -205,14 +217,28 @@ let scan_wal c =
           Hashtbl.replace c.started gtxn participants;
           (* rebuild the sys.gtxns view of the log: started and (until a
              Decision record follows) in-doubt *)
-          ignore (gtxn_begin c ~gtxn ~participants);
-          (match parse_gid c.cname gtxn with
-          | Some n -> c.next_gid <- max c.next_gid (n + 1)
-          | None -> ())
+          ignore (gtxn_begin c ~gtxn ~participants)
       | Log_record.Decision { gtxn; committed } ->
           Hashtbl.replace c.decided gtxn committed;
           gtxn_done c gtxn committed
-      | _ -> ())
+      | Log_record.Gtxn_reserve { upto } ->
+          c.gid_reserved <- max c.gid_reserved upto
+      | _ -> ());
+  (* every id issued so far lies inside a logged block, and one may have
+     reached a shard though no record of ours names it (its begin record
+     was never forced): resume past the whole block *)
+  c.next_gid <- c.gid_reserved + 1
+
+let log_append c body = Wal.append c.cwal ~txn:0 ~prev:Log_record.nil_lsn body
+let log_force c body = Wal.force c.cwal (log_append c body)
+
+(* gtxn ids reserved per forced log record: one force per this many
+   2PC commits, and the ids a restart skips *)
+let gid_block = 1024
+
+let reserve_gids c =
+  c.gid_reserved <- c.next_gid + gid_block - 1;
+  log_force c (Log_record.Gtxn_reserve { upto = c.gid_reserved })
 
 let create ?(name = "coord") ?wal ?metrics ?trace dialers =
   if Array.length dialers = 0 then invalid_arg "Coord.create: no shards";
@@ -237,6 +263,8 @@ let create ?(name = "coord") ?wal ?metrics ?trace dialers =
       metrics;
       ctrace;
       next_gid = 1;
+      gid_reserved = 0;
+      unpulled = [];
       next_rid = 1;
       cur_rid = 0;
       started = Hashtbl.create 32;
@@ -278,6 +306,7 @@ let create ?(name = "coord") ?wal ?metrics ?trace dialers =
     }
   in
   scan_wal c;
+  reserve_gids c;
   c
 
 let wal c = c.cwal
@@ -320,12 +349,9 @@ let close c =
 
 (* A dead connection is retried exactly once after the client's automatic
    re-dial; safe only for prepare/decide, which the participant dedupes
-   by gtxn — never used for statement execution. *)
+   by gtxn, and for recovery's read of sys.indoubt — never used for
+   statement execution. *)
 let retrying f = try f () with Client.Disconnected _ -> f ()
-
-let log_force c body =
-  let lsn = Wal.append c.cwal ~txn:0 ~prev:Log_record.nil_lsn body in
-  Wal.force c.cwal lsn
 
 let unhex s =
   let n = String.length s in
@@ -388,12 +414,81 @@ let deliver_decision ?(gated = true) c ~gtxn ~committed ~participants =
   | fs -> Hashtbl.replace c.pending gtxn (List.rev fs));
   sync_indoubt c
 
+(* Deliver a started gtxn's logged decision, or presume it aborted. The
+   abort is made explicit so the next recovery needn't re-derive it, but
+   it is only appended: losing it changes nothing. *)
+let resolve ?gated c (gtxn, participants) =
+  let committed =
+    match Hashtbl.find_opt c.decided gtxn with
+    | Some d -> d
+    | None ->
+        ignore (log_append c (Log_record.Decision { gtxn; committed = false }));
+        Hashtbl.replace c.decided gtxn false;
+        false
+  in
+  deliver_decision ?gated c ~gtxn ~committed ~participants;
+  gtxn_done c gtxn committed
+
+(* The in-doubt gtxns carrying this coordinator's name that [shards]
+   list in sys.indoubt (gtxn -> reporting shards), and the shards whose
+   catalog could not be read. Other coordinators' gtxns are theirs to
+   resolve. *)
+let pull_indoubt c shards =
+  let found = Hashtbl.create 8 and missed = ref [] in
+  List.iter
+    (fun i ->
+      match retrying (fun () -> shard_exec c i "SELECT gtxn FROM sys.indoubt") with
+      | Sql.Rows { rows; _ } ->
+          List.iter
+            (function
+              | [| Value.Str g |] when parse_gid c.cname g <> None ->
+                  let ps = Option.value ~default:[] (Hashtbl.find_opt found g) in
+                  Hashtbl.replace found g (i :: ps)
+              | _ -> ())
+            rows
+      | _ -> missed := i :: !missed
+      | exception (Client.Disconnected _ | Client.Server_error _) ->
+          missed := i :: !missed)
+    shards;
+  (found, List.rev !missed)
+
+(* Fold what [shards] report into [started] and return the gtxns found.
+   A begin record is only forced along with a commit decision, so this is
+   how recovery learns of a gtxn that crashed mid-prepare — and of the
+   shards a surviving-but-unforced abort never reached. A shard that
+   could not be read may hold any undecided-or-aborted gtxn too, so it
+   joins their participants (an abort Decide for a gtxn it never
+   prepared is answered as presumed abort) and is remembered in
+   [unpulled] for the next re-delivery to read again. A committed gtxn's
+   participants are already complete: its begin record was forced with
+   the decision. *)
+let adopt_indoubt c shards =
+  let found, missed = pull_indoubt c shards in
+  c.unpulled <- missed;
+  Hashtbl.fold
+    (fun g ps acc ->
+      (match Hashtbl.find_opt c.started g with
+      | Some _ when Hashtbl.find_opt c.decided g = Some true -> ()
+      | known ->
+          let participants =
+            List.sort_uniq compare (ps @ missed @ Option.value ~default:[] known)
+          in
+          if known = None then ignore (gtxn_begin c ~gtxn:g ~participants);
+          Hashtbl.replace c.started g participants);
+      g :: acc)
+    found []
+  |> List.sort compare
+
 (* A shard that missed its decision keeps the in-doubt transaction's
    locks, blocking conflicting work there; rather than waiting for an
-   operator's [recover], retry the logged outcome before the next commit.
-   Ungated: re-delivery is not a protocol action of the current
-   transaction, so it must not shift the crash-sweep numbering. *)
+   operator's [recover], retry the logged outcome before the next commit,
+   after re-reading the sys.indoubt of any shard the last [recover]
+   could not reach. Ungated: re-delivery is not a protocol action of the
+   current transaction, so it must not shift the crash-sweep numbering. *)
 let redeliver_pending c =
+  if c.unpulled <> [] then
+    adopt_indoubt c c.unpulled
+    |> List.iter (fun g -> resolve ~gated:false c (g, Hashtbl.find c.started g));
   if Hashtbl.length c.pending > 0 then
     Hashtbl.fold (fun g ps acc -> (g, ps) :: acc) c.pending []
     |> List.sort compare
@@ -407,9 +502,13 @@ let redeliver_pending c =
 let two_phase c ~gtxn ~participants ~outbound ~ops =
   let gi = gtxn_begin c ~gtxn ~participants in
   gate c "log_start";
-  log_force c
-    (Log_record.Prepare
-       { gtxn; deltas = String.concat "," (List.map string_of_int participants) });
+  (* the begin record is not forced: the commit decision's force makes it
+     stable, and a gtxn that never reaches one is found on the shards by
+     [recover] (sys.indoubt) and presumed aborted *)
+  ignore
+    (log_append c
+       (Log_record.Prepare
+          { gtxn; deltas = String.concat "," (List.map string_of_int participants) }));
   Hashtbl.replace c.started gtxn participants;
   let prepared = ref [] in
   (* shards whose line died around a Prepare: their vote is unknown — the
@@ -436,21 +535,28 @@ let two_phase c ~gtxn ~participants ~outbound ~ops =
           Client.prepare_2pc ~rid:c.cur_rid c.clients.(i) ~gtxn
             ~deltas:(deltas_for outbound i)
         in
+        (* A Prepare meets an existing decision only through a stale frame
+           or a reused gtxn id. A remembered commit is a retransmit's
+           answer; a remembered abort means this shard will never commit
+           the transaction, so it votes No. *)
         match
-          (try `Vote (if List.mem i ops then send () else retrying send) with
-          | Client.Server_error { text; _ } -> `No text
-          | Client.Disconnected m ->
+          match if List.mem i ops then send () else retrying send with
+          | reply ->
+              c.s_prepares <- c.s_prepares + 1;
+              c.health.(i).sh_prepares <- c.health.(i).sh_prepares + 1;
+              touch c i;
+              (match reply with
+              | `Prepared -> `Yes
+              | `Already_decided committed ->
+                  c.health.(i).sh_dedupe_hits <- c.health.(i).sh_dedupe_hits + 1;
+                  if committed then `Yes
+                  else `No (Printf.sprintf "shard %d already aborted %s" i gtxn))
+          | exception Client.Server_error { text; _ } -> `No text
+          | exception Client.Disconnected m ->
               suspects := i :: !suspects;
-              `Dead m)
+              `Dead m
         with
-        | `Vote v ->
-            (match v with
-            | `Already_decided _ ->
-                c.health.(i).sh_dedupe_hits <- c.health.(i).sh_dedupe_hits + 1
-            | `Prepared -> ());
-            c.s_prepares <- c.s_prepares + 1;
-            c.health.(i).sh_prepares <- c.health.(i).sh_prepares + 1;
-            touch c i;
+        | `Yes ->
             Metrics.inc c.m_votes_yes;
             gtxn_vote gi i "yes";
             temit c (Trace.Coord_vote { gtxn; shard = i; vote = "yes" });
@@ -491,9 +597,8 @@ let two_phase c ~gtxn ~participants ~outbound ~ops =
   | Some (reason, abort_cause) ->
       gtxn_phase gi "deciding";
       gate c "log_decision";
-      let t_force = Sched.now () in
-      log_force c (Log_record.Decision { gtxn; committed = false });
-      Metrics.record c.h_force (Sched.now () - t_force);
+      (* presumed abort: a lost abort record still reads as abort *)
+      ignore (log_append c (Log_record.Decision { gtxn; committed = false }));
       temit c (Trace.Coord_decision { gtxn; committed = false });
       Hashtbl.replace c.decided gtxn false;
       (* prepared shards get the abort decision now, and so does every
@@ -567,6 +672,7 @@ let commit_txn c =
           temit c (Trace.Coord_fast_path { rid = c.cur_rid; shard = i });
           Sql.Message "committed"
       | _ ->
+          if c.next_gid > c.gid_reserved then reserve_gids c;
           let gtxn = Printf.sprintf "%s:%d" c.cname c.next_gid in
           c.next_gid <- c.next_gid + 1;
           two_phase c ~gtxn ~participants ~outbound ~ops)
@@ -583,25 +689,12 @@ let abort_txn c =
 (* --- recovery --------------------------------------------------------- *)
 
 let recover c =
+  ignore (adopt_indoubt c (List.init (shard_count c) Fun.id));
   let entries =
     Hashtbl.fold (fun g ps acc -> (g, ps) :: acc) c.started [] |> List.sort compare
   in
-  List.iter
-    (fun (gtxn, participants) ->
-      let committed =
-        match Hashtbl.find_opt c.decided gtxn with
-        | Some d -> d
-        | None ->
-            (* started but never decided: presumed abort, made explicit
-               so the next recovery needn't re-derive it *)
-            log_force c (Log_record.Decision { gtxn; committed = false });
-            Hashtbl.replace c.decided gtxn false;
-            false
-      in
-      deliver_decision c ~gtxn ~committed ~participants;
-      gtxn_done c gtxn committed)
-    entries;
-  (* live entries never logged (crashed before the begin-record force):
+  List.iter (resolve c) entries;
+  (* live entries never logged (crashed before the begin-record append):
      no shard ever heard of them, so they abort locally *)
   Hashtbl.fold
     (fun g _ acc -> if not (Hashtbl.mem c.started g) then g :: acc else acc)

@@ -16,13 +16,16 @@
     diverted toward remote view groups are collected over
     [sys.outbound]; a transaction with one participant and no remote
     deltas commits locally (no 2PC), anything else runs presumed-abort
-    two-phase commit: participant set forced to the coordinator's WAL,
-    Prepare (carrying each shard's inbound deltas) to every participant,
-    decision forced, Decide fanned out. {!recover} re-delivers logged
+    two-phase commit: participant set appended (unforced) to the
+    coordinator's WAL, Prepare (carrying each shard's inbound deltas) to
+    every participant, a commit decision forced (an abort decision is
+    only appended), Decide fanned out. {!recover} re-delivers logged
     decisions after a coordinator crash and presumed-aborts every
-    started-but-undecided transaction; participants dedupe retransmits
-    by global transaction id, which makes Decide (and delta-only
-    Prepare) reconnect-and-resend retries safe. A Prepare to a shard
+    started-but-undecided transaction, including those whose begin
+    record was lost, which it finds in the shards' [sys.indoubt];
+    participants dedupe retransmits by global transaction id, which
+    makes Decide (and delta-only Prepare) reconnect-and-resend retries
+    safe. A Prepare to a shard
     whose session ran this transaction's statements is never retried —
     the disconnect rolled that session's transaction back, so a dead
     line is a No vote and the transaction aborts everywhere.
@@ -63,10 +66,16 @@ val create :
   t
 (** Connect one client per shard (the array index is the shard id — it
     must match each engine's {!configure_shard} slot). [name] prefixes
-    global transaction ids ([name:n]). [wal] is the coordinator's
+    global transaction ids ([name:n]); it must be unique among the
+    coordinators sharing a shard, since {!recover} claims the in-doubt
+    transactions carrying it. Ids are issued from blocks of 1024, each
+    reserved by one forced [Gtxn_reserve] log record before its first
+    id is used ([create] forces the first block), so ids are dense
+    within one incarnation and jump to the next block after a restart.
+    [wal] is the coordinator's
     decision log; pass the previous incarnation's log (round-tripped
     through {!Ivdb_wal.Wal.crash}) to restart after a crash — the
-    started/decided tables, the gtxn counter and the routing metadata
+    started/decided tables, the gtxn reservation and the routing metadata
     (partition columns and view names, logged as DDL records) are
     rebuilt by scanning it; follow with {!recover} to re-deliver
     outcomes. [metrics] is the coordinator's registry (fresh by
@@ -125,11 +134,17 @@ val trace : t -> Ivdb_util.Trace.t
     event stream). *)
 
 val recover : t -> int
-(** Resolve every started transaction found in the WAL: re-deliver the
+(** Resolve every started transaction: those with a begin record in the
+    WAL, plus every gtxn named [name:n] that a reachable shard lists in
+    [sys.indoubt] (its begin record was never forced). Re-deliver the
     logged decision, or log-and-deliver an abort for the undecided
-    (presumed abort). Returns the number of transactions resolved.
-    Idempotent — participants answer retransmits from their dedupe
-    tables. *)
+    (presumed abort). In-doubt transactions of other coordinators are
+    left alone. A shard whose [sys.indoubt] cannot be read is added to
+    the participants of every undecided or aborted gtxn found, and is
+    read again before the next commit; a shard that misses its decision
+    is owed it until a later commit or [recover] delivers it. Returns
+    the number of transactions resolved. Idempotent — participants
+    answer retransmits from their dedupe tables. *)
 
 val in_transaction : t -> bool
 
@@ -154,8 +169,8 @@ val close : t -> unit
 
 (** {1 Deterministic crash injection}
 
-    Every 2PC protocol action — the begin-record force, each Prepare
-    send, the decision force, each Decide send — bumps a counter. Arming
+    Every 2PC protocol action — the begin-record append, each Prepare
+    send, the decision record, each Decide send — bumps a counter. Arming
     {!set_crash_at_action} [n] makes the [n]-th action raise
     {!Ivdb_storage.Fault.Crash_point} instead of happening, so a sweep
     over [n] crashes the coordinator at every message boundary of a

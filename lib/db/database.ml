@@ -1195,7 +1195,7 @@ let relock_indoubt t tx =
       | Log_record.Clr { undo_next; _ } -> go undo_next
       | Log_record.Begin _ | Log_record.Commit | Log_record.End -> ()
       | Log_record.Abort | Log_record.Checkpoint _ | Log_record.Ddl _
-      | Log_record.Prepare _ | Log_record.Decision _ ->
+      | Log_record.Prepare _ | Log_record.Decision _ | Log_record.Gtxn_reserve _ ->
           go r.Log_record.prev
     end
   in

@@ -82,7 +82,7 @@ let analyze wal =
             Hashtbl.replace att txn lsn
         | Log_record.Commit | Log_record.End -> Hashtbl.remove att txn
         | Log_record.Ddl payload -> ddl := payload :: !ddl
-        | Log_record.Checkpoint _ -> ());
+        | Log_record.Checkpoint _ | Log_record.Gtxn_reserve _ -> ());
         List.iter
           (fun pid -> if not (Hashtbl.mem dpt pid) then Hashtbl.replace dpt pid lsn)
           (Log_record.pages_touched r)
@@ -199,7 +199,8 @@ module Redo = struct
           diffs
     | Log_record.Begin _ | Log_record.Commit | Log_record.Abort
     | Log_record.End | Log_record.Checkpoint _ | Log_record.Ddl _
-    | Log_record.Prepare _ | Log_record.Decision _ ->
+    | Log_record.Prepare _ | Log_record.Decision _ | Log_record.Gtxn_reserve _
+      ->
         ()
 end
 

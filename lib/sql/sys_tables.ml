@@ -238,6 +238,15 @@ let shards db =
   in
   (shards_header, rows)
 
+(* Prepared-but-undecided 2PC transactions on this engine: what a
+   restarted coordinator pulls to find the global transactions it
+   started but has no log record of. *)
+let indoubt_header = [ "gtxn"; "txn" ]
+
+let indoubt db =
+  ( indoubt_header,
+    List.map (fun (g, txn) -> [| vstr g; vint txn |]) (Database.indoubt_gtxns db) )
+
 (* The session's diverted escrow deltas waiting to ride a 2PC prepare to
    their owning shard; resolved in the SQL layer (it needs the session's
    open transaction), this is just the schema for the zero-row default. *)
@@ -290,6 +299,7 @@ let names =
     "sys.cluster_metrics";
     "sys.coord_shards";
     "sys.gtxns";
+    "sys.indoubt";
     "sys.lock_waits";
     "sys.locks";
     "sys.metrics";
@@ -318,6 +328,7 @@ let builtin db ~self_txn name =
   | "sys.slow_queries" -> Some (slow_queries_header, [])
   | "sys.replication" -> Some (replication_header, [])
   | "sys.shards" -> Some (shards db)
+  | "sys.indoubt" -> Some (indoubt db)
   | "sys.outbound" -> Some (outbound_header, [])
   | "sys.gtxns" -> Some (gtxns_header, [])
   | "sys.coord_shards" -> Some (coord_shards_header, [])

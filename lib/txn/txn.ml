@@ -313,7 +313,7 @@ let undo_chain mgr t ~cursor =
       | Log_record.Commit | Log_record.End ->
           invalid_arg "Txn: undo reached a commit record"
       | Log_record.Abort | Log_record.Checkpoint _ | Log_record.Ddl _
-      | Log_record.Prepare _ | Log_record.Decision _ ->
+      | Log_record.Prepare _ | Log_record.Decision _ | Log_record.Gtxn_reserve _ ->
           go r.Log_record.prev
     end
   in
@@ -343,7 +343,7 @@ let rollback_to mgr t sp =
       | Log_record.Commit | Log_record.End ->
           invalid_arg "Txn: rollback_to reached a commit record"
       | Log_record.Abort | Log_record.Checkpoint _ | Log_record.Ddl _
-      | Log_record.Prepare _ | Log_record.Decision _ ->
+      | Log_record.Prepare _ | Log_record.Decision _ | Log_record.Gtxn_reserve _ ->
           go r.Log_record.prev
     end
   in

@@ -31,6 +31,7 @@ type body =
   | Ddl of string
   | Prepare of { gtxn : string; deltas : string }
   | Decision of { gtxn : string; committed : bool }
+  | Gtxn_reserve of { upto : int }
 
 type t = { lsn : lsn; txn : int; prev : lsn; body : body }
 
@@ -136,6 +137,9 @@ let add_body buf = function
       Buffer.add_char buf 'V';
       add_str buf d.gtxn;
       Buffer.add_char buf (if d.committed then '\001' else '\000')
+  | Gtxn_reserve g ->
+      Buffer.add_char buf 'G';
+      add_i32 buf g.upto
 
 let encode t =
   let buf = Buffer.create 64 in
@@ -248,6 +252,7 @@ let rd_body r =
   | 'V' ->
       let gtxn = rd_str r in
       Decision { gtxn; committed = rd_u8 r = 1 }
+  | 'G' -> Gtxn_reserve { upto = rd_i32 r }
   | _ -> fail ()
 
 let decode s =
@@ -263,7 +268,7 @@ let pages_touched t =
   match t.body with
   | Update { redo; _ } | Clr { redo; _ } -> List.map fst redo
   | Begin _ | Commit | Abort | End | Checkpoint _ | Ddl _ | Prepare _
-  | Decision _ ->
+  | Decision _ | Gtxn_reserve _ ->
       []
 
 let pp_undo ppf = function
@@ -299,5 +304,6 @@ let pp ppf t =
     | Decision d ->
         Format.fprintf ppf "DECISION %s %s" d.gtxn
           (if d.committed then "commit" else "abort")
+    | Gtxn_reserve g -> Format.fprintf ppf "GTXN-RESERVE %d" g.upto
   in
   Format.fprintf ppf "[%d] txn=%d prev=%d %a" t.lsn t.txn t.prev body t.body

@@ -52,6 +52,9 @@ type body =
           on this shard as part of the prepared work. *)
   | Decision of { gtxn : string; committed : bool }
       (** 2PC phase 2 outcome for a previously prepared transaction. *)
+  | Gtxn_reserve of { upto : int }
+      (** Coordinator log only: global transaction ids up to [upto] may
+          have been issued, so a restarted coordinator resumes past it. *)
 
 type t = { lsn : lsn; txn : int; prev : lsn; body : body }
 

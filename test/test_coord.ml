@@ -2,8 +2,10 @@
    transport: statement routing and view fan-out, cross-shard 2PC with
    escrow delta shipping, sys.shards through both paths, the
    coordinator-crash-at-every-action sweep, the participant-crash-at-
-   every-force-point sweep (clean and torn tail), and the
-   prepare/decide retransmit dedupe regression.
+   every-force-point sweep (clean and torn tail), the prepare/decide
+   retransmit dedupe regression, and presumed abort's cost and recovery:
+   the per-commit force budget, gtxn id reservation across a restart,
+   and pull recovery of in-doubt gtxns through sys.indoubt.
 
    The crash sweeps follow the repo's standard shape: run a scripted
    workload once unarmed to size the sweep, then re-run it once per
@@ -610,6 +612,362 @@ let test_decision_redelivery () =
         (List.length (rows (Coord.exec c "SELECT k FROM t")));
       Coord.close c)
 
+(* --- a stale abort decision is a No vote ----------------------------- *)
+
+(* A Prepare can meet an existing decision only through a stale frame or
+   a reused gtxn id. Shard 0 is scripted to remember an abort for the id
+   the next cross-shard commit will carry: its Prepare reply is a
+   Decided-abort, which must abort the whole transaction. Counted as a
+   yes, shard 1 would commit its leg while shard 0's leg never
+   prepared. *)
+let test_stale_abort_is_no_vote () =
+  let shards = 2 in
+  cross_shard_cluster 19 (fun dbs nets ->
+      let dialers = Array.map Transport.Loopback.dialer nets in
+      let c = Coord.create dialers in
+      ignore (Coord.exec c "CREATE TABLE t (k INT NOT NULL, x INT)");
+      let k0 = keys_owned_by ~shards 0 2 and k1 = (keys_owned_by ~shards 1 1).(0) in
+      let direct = Client.connect dialers.(0) in
+      ignore (Client.exec direct "BEGIN");
+      ignore
+        (Client.exec direct (Printf.sprintf "INSERT INTO t VALUES (%d, 0)" k0.(1)));
+      let deltas = Database.Deltas.encode [] in
+      ignore (Client.prepare_2pc direct ~gtxn:"coord:1" ~deltas);
+      Client.decide_2pc direct ~gtxn:"coord:1" ~committed:false;
+      Client.close direct;
+      check Alcotest.bool "shard 0 remembers an abort for coord:1" true
+        (Database.gtxn_status dbs.(0) "coord:1" = `Decided false);
+      ignore (Coord.exec c "BEGIN");
+      ignore (Coord.exec c (Printf.sprintf "INSERT INTO t VALUES (%d, 1)" k0.(0)));
+      ignore (Coord.exec c (Printf.sprintf "INSERT INTO t VALUES (%d, 2)" k1));
+      let m = Coord.metrics c in
+      let forces0 = Metrics.get m "log.force" in
+      (try
+         ignore (Coord.exec c "COMMIT");
+         Alcotest.fail "expected the transaction to abort"
+       with Coord.Coord_error msg ->
+         check Alcotest.bool "abort names the stale decision" true
+           (contains msg "already aborted"));
+      (* presumed abort: the abort decision is appended, never forced *)
+      check Alcotest.int "no coordinator force on abort" forces0
+        (Metrics.get m "log.force");
+      check Alcotest.int "no leg committed anywhere" 0
+        (List.length (rows (Coord.exec c "SELECT k FROM t")));
+      Array.iteri
+        (fun i db ->
+          check Alcotest.int
+            (Printf.sprintf "shard %d not in doubt" i)
+            0
+            (Database.indoubt_count db))
+        dbs;
+      check Alcotest.int "counted as a No vote" 1 (Metrics.get m "coord.votes.no");
+      check Alcotest.int "no yes vote" 0 (Metrics.get m "coord.votes.yes");
+      (* both op shards' session transactions were rolled back: the same
+         work commits on the next id *)
+      run_txn c
+        [
+          Printf.sprintf "INSERT INTO t VALUES (%d, 1)" k0.(0);
+          Printf.sprintf "INSERT INTO t VALUES (%d, 2)" k1;
+        ];
+      check Alcotest.int "retried transaction landed both legs" 2
+        (List.length (rows (Coord.exec c "SELECT k FROM t")));
+      Coord.close c)
+
+(* --- force budget -------------------------------------------------------- *)
+
+(* Presumed abort forces exactly one coordinator record per 2PC commit —
+   the decision — and none on the local fast path; each participant
+   forces its Prepare and its Commit. Any other coordinator force on
+   this path, such as one on the begin record, fails the budget. *)
+let test_force_budget () =
+  let shards = 2 in
+  let cl = fresh_cluster shards in
+  let cm = Metrics.create () in
+  cl.cwal <- Wal.create cm;
+  let forces () =
+    ( Metrics.get cm "log.force",
+      Array.map (fun db -> Metrics.get (Database.metrics db) "log.force") cl.dbs )
+  in
+  let delta (c0, p0) (c1, p1) = (c1 - c0, Array.map2 (fun a b -> b - a) p0 p1) in
+  phase cl (fun c _ ->
+      run_setup c;
+      ignore (Coord.exec c "CREATE TABLE u (k INT NOT NULL, x INT)");
+      let before = forces () in
+      run_txn c (List.hd (script ~shards 1));
+      let coord, parts = delta before (forces ()) in
+      check Alcotest.int "2PC commit: one coordinator force" 1 coord;
+      check Alcotest.(array int) "2PC commit: Prepare + Commit per shard" [| 2; 2 |]
+        parts;
+      check Alcotest.int "it was a 2PC commit" 1
+        (Coord.stats c).Coord.cross_shard_commits;
+      let before = forces () in
+      ignore (Coord.exec c "INSERT INTO u VALUES (0, 1)");
+      let coord, parts = delta before (forces ()) in
+      check Alcotest.int "fast path: no coordinator force" 0 coord;
+      check Alcotest.int "fast path: one participant commit force" 1
+        (Array.fold_left ( + ) 0 parts);
+      check Alcotest.int "it took the fast path" 1
+        (Coord.stats c).Coord.single_shard_commits)
+
+(* --- restart before recovery, and pull recovery ------------------------ *)
+
+let gtxn_of_commit = function
+  | Sql.Message m -> (
+      match String.index_opt m '(' with
+      | Some i -> List.hd (String.split_on_char ',' (String.sub m (i + 1) (String.length m - i - 1)))
+      | None -> Alcotest.failf "commit message without a gtxn: %s" m)
+  | _ -> Alcotest.fail "expected a commit message"
+
+let indoubt_on dialer =
+  let cl = Client.connect dialer in
+  let r =
+    List.map
+      (function
+        | [| Value.Str g; Value.Int _ |] -> g
+        | _ -> Alcotest.fail "malformed sys.indoubt row")
+      (rows (Client.exec cl "SELECT * FROM sys.indoubt"))
+  in
+  Client.close cl;
+  r
+
+(* Crash the coordinator once shard 0 has prepared (action 3: begin
+   record, Prepare to shard 0, then the crash before shard 1's). The
+   begin record was never forced, so the restarted coordinator's log
+   knows nothing of coord:1 — yet its next gtxn must not reuse the id,
+   or shard 0 would answer the new Prepare from its dedupe table with
+   the old transaction. [recover] then finds coord:1 in sys.indoubt and
+   presumes it aborted. *)
+let test_restart_and_pull_recovery () =
+  let shards = 2 in
+  let txns = script ~shards 2 in
+  let cl = fresh_cluster shards in
+  phase cl (fun c dialers ->
+      run_setup c;
+      Coord.set_crash_at_action c (Some 3);
+      (try
+         run_txn c (List.nth txns 0);
+         Alcotest.fail "armed trigger did not fire"
+       with Fault.Crash_point _ -> ());
+      (* the coordinator process dies: its connections drop, shard 1
+         rolls its unprepared session transaction back *)
+      Coord.close c;
+      check Alcotest.(list string) "shard 0 holds coord:1 in doubt" [ "coord:1" ]
+        (indoubt_on dialers.(0));
+      check Alcotest.(list string) "shard 1 holds nothing" [] (indoubt_on dialers.(1));
+      let cwal = Wal.crash (Coord.wal c) (Metrics.create ()) in
+      let c2 = Coord.create ~wal:cwal dialers in
+      ignore (Coord.exec c2 "BEGIN");
+      List.iter (fun s -> ignore (Coord.exec c2 s)) (List.nth txns 1);
+      let g = gtxn_of_commit (Coord.exec c2 "COMMIT") in
+      Alcotest.(check bool) (g ^ " is a fresh id") true (g <> "coord:1");
+      check Alcotest.(list string) "coord:1 still in doubt before recover"
+        [ "coord:1" ] (indoubt_on dialers.(0));
+      (* the log names only the new gtxn; coord:1 comes from sys.indoubt *)
+      check Alcotest.int "both gtxns resolved" 2 (Coord.recover c2);
+      Array.iteri
+        (fun i d ->
+          check Alcotest.(list string)
+            (Printf.sprintf "shard %d resolved" i)
+            [] (indoubt_on d))
+        dialers;
+      Alcotest.(check bool) "sys.gtxns shows coord:1 aborted" true
+        (List.mem
+           [| Value.Str "coord:1"; Value.Str "aborted" |]
+           (rows (Coord.exec c2 "SELECT gtxn, phase FROM sys.gtxns")));
+      check Alcotest.int "only the second transaction's rows" 2
+        (List.length (rows (Coord.exec c2 "SELECT k FROM t")));
+      Coord.close c2);
+  check Alcotest.string "digest union = serial second transaction"
+    (let ref_cl = fresh_cluster shards in
+     phase ref_cl (fun c _ ->
+         run_setup c;
+         run_txn c (List.nth txns 1));
+     digest_union ref_cl)
+    (digest_union cl)
+
+(* Two coordinators share the shards and both crash mid-prepare: each
+   recovery claims only the in-doubt gtxns carrying its own name. *)
+let test_recover_claims_own_gtxns () =
+  let shards = 2 in
+  cross_shard_cluster 21 (fun dbs nets ->
+      let dialers = Array.map Transport.Loopback.dialer nets in
+      let k0 = keys_owned_by ~shards 0 2 and k1 = keys_owned_by ~shards 1 2 in
+      let setup = Coord.create ~name:"setup" dialers in
+      ignore (Coord.exec setup "CREATE TABLE t (k INT NOT NULL, x INT)");
+      Coord.close setup;
+      let crash_mid_prepare name j =
+        let cwal = Wal.create (Metrics.create ()) in
+        let c = Coord.create ~name ~wal:cwal dialers in
+        ignore (Coord.exec c "BEGIN");
+        ignore (Coord.exec c (Printf.sprintf "INSERT INTO t VALUES (%d, 1)" k0.(j)));
+        ignore (Coord.exec c (Printf.sprintf "INSERT INTO t VALUES (%d, 1)" k1.(j)));
+        (* begin record (1), shard 0's Prepare (2), crash before shard 1's *)
+        Coord.set_crash_at_action c (Some 3);
+        (try
+           ignore (Coord.exec c "COMMIT");
+           Alcotest.fail "armed trigger did not fire"
+         with Fault.Crash_point _ -> ());
+        Coord.close c;
+        Wal.crash cwal (Metrics.create ())
+      in
+      let wal_a = crash_mid_prepare "a" 0 in
+      let wal_b = crash_mid_prepare "b" 1 in
+      check Alcotest.(list string) "both in doubt on shard 0" [ "a:1"; "b:1" ]
+        (List.map fst (Database.indoubt_gtxns dbs.(0)));
+      let a = Coord.create ~name:"a" ~wal:wal_a dialers in
+      check Alcotest.int "a resolves its own gtxn only" 1 (Coord.recover a);
+      Coord.close a;
+      check Alcotest.(list string) "b's gtxn left in doubt" [ "b:1" ]
+        (List.map fst (Database.indoubt_gtxns dbs.(0)));
+      let b = Coord.create ~name:"b" ~wal:wal_b dialers in
+      check Alcotest.int "b resolves its own" 1 (Coord.recover b);
+      Array.iteri
+        (fun i db ->
+          check Alcotest.int
+            (Printf.sprintf "shard %d not in doubt" i)
+            0
+            (Database.indoubt_count db))
+        dbs;
+      check Alcotest.int "both presumed aborted" 0
+        (List.length (rows (Coord.exec b "SELECT k FROM t")));
+      Coord.close b)
+
+(* A dialer whose connections die on every write while [down] is set:
+   the shard is unreachable, but its engine keeps what it holds. *)
+let down_dialer (inner : Transport.dialer) down =
+  {
+    inner with
+    Transport.dial =
+      (fun () ->
+        let c = inner.Transport.dial () in
+        {
+          c with
+          Transport.write =
+            (fun s -> if !down then c.Transport.close () else c.Transport.write s);
+        });
+  }
+
+(* Both shards prepare coord:1 and the coordinator dies at its decision
+   (action 4). Returns the crashed decision log — it names no coord:1 —
+   and keys the test can still write on each shard. *)
+let crash_both_prepared dbs dialers =
+  let shards = 2 in
+  let k0 = keys_owned_by ~shards 0 2 and k1 = keys_owned_by ~shards 1 1 in
+  let cwal = Wal.create (Metrics.create ()) in
+  let c = Coord.create ~wal:cwal dialers in
+  ignore (Coord.exec c "CREATE TABLE t (k INT NOT NULL, x INT)");
+  ignore (Coord.exec c "BEGIN");
+  ignore (Coord.exec c (Printf.sprintf "INSERT INTO t VALUES (%d, 1)" k0.(0)));
+  ignore (Coord.exec c (Printf.sprintf "INSERT INTO t VALUES (%d, 1)" k1.(0)));
+  Coord.set_crash_at_action c (Some 4);
+  (try
+     ignore (Coord.exec c "COMMIT");
+     Alcotest.fail "armed trigger did not fire"
+   with Fault.Crash_point _ -> ());
+  Coord.close c;
+  Array.iteri
+    (fun i db ->
+      check Alcotest.(list string)
+        (Printf.sprintf "shard %d holds coord:1" i)
+        [ "coord:1" ]
+        (List.map fst (Database.indoubt_gtxns db)))
+    dbs;
+  (Wal.crash cwal (Metrics.create ()), k0.(1))
+
+let shard1_down_cluster seed f =
+  cross_shard_cluster seed (fun dbs nets ->
+      let down = ref false in
+      let dialers =
+        Array.mapi
+          (fun i net ->
+            let d = Transport.Loopback.dialer net in
+            if i = 1 then down_dialer d down else d)
+          nets
+      in
+      f dbs dialers down)
+
+(* Shard 1 is down during [recover], so only shard 0 reports coord:1.
+   Shard 1 must still be owed the abort, and get it at the next commit
+   once its line is back, instead of holding coord:1's locks forever. *)
+let test_pull_recovery_unreachable_shard () =
+  shard1_down_cluster 23 (fun dbs dialers down ->
+      let cwal, k = crash_both_prepared dbs dialers in
+      let c = Coord.create ~wal:cwal dialers in
+      down := true;
+      check Alcotest.int "coord:1 resolved" 1 (Coord.recover c);
+      check Alcotest.int "shard 0 got the abort" 0 (Database.indoubt_count dbs.(0));
+      check Alcotest.int "shard 1 still holds coord:1" 1 (Database.indoubt_count dbs.(1));
+      check Alcotest.int "the coordinator knows it owes shard 1 the abort" 1
+        (Metrics.get (Coord.metrics c) "coord.indoubt");
+      down := false;
+      ignore (Coord.exec c (Printf.sprintf "INSERT INTO t VALUES (%d, 2)" k));
+      check Alcotest.int "the next commit resolved shard 1" 0
+        (Database.indoubt_count dbs.(1));
+      check Alcotest.int "only the new row" 1
+        (List.length (rows (Coord.exec c "SELECT k FROM t")));
+      Coord.close c)
+
+(* As above, but the coordinator dies again before shard 1 is back: its
+   appended abort for coord:1 is lost, and the reachable shard no longer
+   holds coord:1, so nothing the next incarnation can read names it. The
+   shard [recover] could not read is read again at the next commit. *)
+let test_pull_recovery_rereads_unreachable_shard () =
+  shard1_down_cluster 29 (fun dbs dialers down ->
+      let cwal, k = crash_both_prepared dbs dialers in
+      let c = Coord.create ~wal:cwal dialers in
+      down := true;
+      check Alcotest.int "coord:1 resolved" 1 (Coord.recover c);
+      Coord.close c;
+      (* the new incarnation connects while shard 1 blips back up *)
+      down := false;
+      let c = Coord.create ~wal:(Wal.crash (Coord.wal c) (Metrics.create ())) dialers in
+      down := true;
+      check Alcotest.int "no log record or reachable shard names coord:1" 0
+        (Coord.recover c);
+      check Alcotest.(list string) "shard 1 still holds coord:1" [ "coord:1" ]
+        (List.map fst (Database.indoubt_gtxns dbs.(1)));
+      down := false;
+      ignore (Coord.exec c (Printf.sprintf "INSERT INTO t VALUES (%d, 2)" k));
+      check Alcotest.int "the next commit re-read shard 1 and resolved it" 0
+        (Database.indoubt_count dbs.(1));
+      check Alcotest.int "only the new row" 1
+        (List.length (rows (Coord.exec c "SELECT k FROM t")));
+      Coord.close c)
+
+(* Ids come from forced blocks of 1024: a block is reserved when the
+   coordinator starts and again when the last one runs out — one extra
+   force per block, never one per transaction — and a restart resumes
+   past the last block. *)
+let test_gid_blocks () =
+  let shards = 2 in
+  cross_shard_cluster 27 (fun _ nets ->
+      let dialers = Array.map Transport.Loopback.dialer nets in
+      let cm = Metrics.create () in
+      let cwal = Wal.create cm in
+      let c = Coord.create ~wal:cwal dialers in
+      check Alcotest.int "create reserves the first block" 1
+        (Metrics.get cm "log.force");
+      ignore (Coord.exec c "CREATE TABLE t (k INT NOT NULL, x INT)");
+      let k0 = keys_owned_by ~shards 0 1026 and k1 = keys_owned_by ~shards 1 1026 in
+      let commit c j =
+        ignore (Coord.exec c "BEGIN");
+        ignore (Coord.exec c (Printf.sprintf "INSERT INTO t VALUES (%d, 0)" k0.(j)));
+        ignore (Coord.exec c (Printf.sprintf "INSERT INTO t VALUES (%d, 0)" k1.(j)));
+        gtxn_of_commit (Coord.exec c "COMMIT")
+      in
+      let f0 = Metrics.get cm "log.force" in
+      let ids = List.init 1025 (commit c) in
+      check Alcotest.(list string) "dense within one incarnation"
+        (List.init 1025 (fun j -> Printf.sprintf "coord:%d" (j + 1)))
+        ids;
+      check Alcotest.int "one force per decision plus one per block" (1025 + 1)
+        (Metrics.get cm "log.force" - f0);
+      Coord.close c;
+      let c2 = Coord.create ~wal:(Wal.crash cwal (Metrics.create ())) dialers in
+      check Alcotest.string "a restart skips the rest of the block" "coord:2049"
+        (commit c2 1025);
+      Coord.close c2)
+
 (* --- cluster observability: sys.gtxns, trace, wire catalogs ------------ *)
 
 (* An armed crash at action 4 stops the protocol at the decision force:
@@ -930,6 +1288,23 @@ let () =
             `Quick test_prepare_loss_aborts;
           Alcotest.test_case "undelivered decisions re-deliver at next commit"
             `Quick test_decision_redelivery;
+          Alcotest.test_case "a stale abort decision is a No vote" `Quick
+            test_stale_abort_is_no_vote;
+        ] );
+      ( "2pc",
+        [
+          Alcotest.test_case "force budget: 2PC and fast path" `Quick
+            test_force_budget;
+          Alcotest.test_case "restart before recover, then pull recovery"
+            `Quick test_restart_and_pull_recovery;
+          Alcotest.test_case "recover claims only its own gtxns" `Quick
+            test_recover_claims_own_gtxns;
+          Alcotest.test_case "a shard down during recover is still resolved"
+            `Quick test_pull_recovery_unreachable_shard;
+          Alcotest.test_case "recover re-reads a shard it could not reach"
+            `Quick test_pull_recovery_rereads_unreachable_shard;
+          Alcotest.test_case "gtxn ids come from forced blocks" `Quick
+            test_gid_blocks;
         ] );
       ( "observability",
         [

@@ -64,6 +64,9 @@ let body_gen =
           (list_size (int_bound 4) (pair (int_bound 999) (int_bound 999)))
           str_gen;
         map (fun s -> LR.Ddl s) str_gen;
+        map2 (fun gtxn deltas -> LR.Prepare { gtxn; deltas }) str_gen str_gen;
+        map2 (fun gtxn committed -> LR.Decision { gtxn; committed }) str_gen bool;
+        map (fun upto -> LR.Gtxn_reserve { upto }) (int_bound 1_000_000);
       ])
 
 let record_gen =
