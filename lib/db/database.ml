@@ -63,7 +63,11 @@ type table_rt = {
   mutable dep_views : int list;
 }
 
-and index_rt = { imeta : Catalog.index_meta; itree : Btree.t }
+and index_rt = {
+  imeta : Catalog.index_meta;
+  itree : Btree.t;
+  ix_since : int; (* MVCC stamp when registered: older snapshots can't use it *)
+}
 
 type t = {
   cfg : config;
@@ -208,14 +212,40 @@ let lock_row t tx tid rid mode =
 
 let mvcc t = Txn.mvcc t.tmgr
 
-let is_snapshot = function
-  | Some tx -> Txn.snapshot_of tx <> None
-  | None -> false
-
 let snap_of tx =
   match Txn.snapshot_of tx with
   | Some s -> s
   | None -> invalid_arg "Database: not a snapshot transaction"
+
+(* The value of [(obj, key)] as of snapshot [snap]: a version-chain entry
+   when a commit after the snapshot (or an in-flight writer) touched the
+   key, else what storage holds now, [stored ()]. *)
+let at_snapshot t ~snap ~obj key ~stored =
+  match Ivdb_txn.Mvcc.resolve (mvcc t) ~obj ~key ~snap with
+  | Ivdb_txn.Mvcc.Committed v | Ivdb_txn.Mvcc.Pending v -> v
+  | Ivdb_txn.Mvcc.Current -> stored ()
+
+(* The keys of [tree] (catalog id [obj]) in [[lo, hi)] a snapshot must
+   resolve, ascending, each with its stored value: the keys the tree holds
+   now — found by seeking [lo], so only the leaves spanning the range are
+   read — plus the chain-only keys in range (entries physically reclaimed
+   after the snapshot began), whose stored value is [None]. [hi] omitted
+   means unbounded. *)
+let snapshot_range t tree ~obj ~lo ?hi () =
+  let below_hi k = match hi with None -> true | Some h -> String.compare k h < 0 in
+  let stored = Hashtbl.create 16 in
+  let rec walk = function
+    | Some (k, v, c) when below_hi k ->
+        Hashtbl.replace stored k v;
+        walk (Btree.cursor_next tree c)
+    | _ -> ()
+  in
+  walk (Btree.seek tree lo);
+  Ivdb_txn.Mvcc.keys_of_obj (mvcc t) ~obj
+  |> List.filter (fun k -> String.compare k lo >= 0 && below_hi k)
+  |> Hashtbl.fold (fun k _ acc -> k :: acc) stored
+  |> List.sort_uniq String.compare
+  |> List.map (fun k -> (k, Hashtbl.find_opt stored k))
 
 (* Snapshot heap scan: no locks at all. Every slot — live and ghost — is
    resolved through the version chains; chain-only rids (rows whose ghost
@@ -224,26 +254,21 @@ let snap_of tx =
    slot whose chain says [None] was inserted after it. *)
 let snapshot_heap_rows t ~snap tid =
   let rt = table_rt t tid in
-  let mv = mvcc t in
   let out = ref [] in
   let seen = Hashtbl.create 64 in
-  let emit rid bytes = out := (rid, Row.decode bytes) :: !out in
+  let emit rid = Option.iter (fun bytes -> out := (rid, Row.decode bytes) :: !out) in
   Heap_file.iter_all rt.heap (fun rid payload ~ghost ->
       let key = encode_rid_payload rid in
       Hashtbl.replace seen key ();
-      match Ivdb_txn.Mvcc.resolve mv ~obj:tid ~key ~snap with
-      | Ivdb_txn.Mvcc.Committed v | Ivdb_txn.Mvcc.Pending v -> (
-          match v with Some bytes -> emit rid bytes | None -> ())
-      | Ivdb_txn.Mvcc.Current -> if not ghost then emit rid payload);
+      emit rid
+        (at_snapshot t ~snap ~obj:tid key ~stored:(fun () ->
+             if ghost then None else Some payload)));
   List.iter
     (fun key ->
       if not (Hashtbl.mem seen key) then
-        match Ivdb_txn.Mvcc.resolve mv ~obj:tid ~key ~snap with
-        | Ivdb_txn.Mvcc.Committed (Some bytes) | Ivdb_txn.Mvcc.Pending (Some bytes)
-          ->
-            emit (decode_rid_payload key) bytes
-        | _ -> ())
-    (Ivdb_txn.Mvcc.keys_of_obj mv ~obj:tid);
+        emit (decode_rid_payload key)
+          (at_snapshot t ~snap ~obj:tid key ~stored:(fun () -> None)))
+    (Ivdb_txn.Mvcc.keys_of_obj (mvcc t) ~obj:tid);
   List.sort (fun (a, _) (b, _) -> Heap_file.rid_compare a b) !out
 
 (* Snapshot the rid list, then (re)read each record lazily; with a
@@ -277,14 +302,20 @@ let heap_scan_rows t txn tid =
 
 let heap_scan_seq t txn tid = Seq.map snd (heap_scan_rows t txn tid)
 
-(* Probe [table]'s rows with [col] = [v] through an index when one exists.
-   Index keys are (value, rpage, rslot); the value prefix bounds the scan.
-   With a transaction the protocol is key-range locking: RangeS_S on every
-   entry in range and on the terminating key (or EOF), then S on each rid. *)
+(* The rid an index entry points at: the payload of a unique index's
+   entry, the tail of an ordinary index's (value, rpage, rslot) key. *)
+let entry_rid (ix : index_rt) k v =
+  if ix.imeta.Catalog.ix_unique then decode_rid_payload (index_entry_payload v)
+  else
+    match Key_codec.decode k with
+    | [| _; Value.Int rpage; Value.Int rslot |] -> { Heap_file.rpage; rslot }
+    | _ -> invalid_arg "Database: corrupt index key"
+
 (* Key-space range walk under key-range locking, shared by point probes and
-   range scans. [lo_key] inclusive, [hi_key] exclusive; the fixpoint logic
-   is as for point probes (see below). *)
-let index_keyspace_rids t txn (ix : index_rt) ~table:tid ~lo_key ~hi_key =
+   range scans. [lo_key] inclusive, [hi_key] exclusive. With a transaction
+   the protocol is RangeS_S on every entry in range and on the terminating
+   key (or EOF), then S on each rid. *)
+let index_keyspace_rids_locked t txn (ix : index_rt) ~table:tid ~lo_key ~hi_key =
   let rt = table_rt t tid in
   let ixid = ix.imeta.Catalog.ix_id in
   let lock_key k m =
@@ -332,14 +363,8 @@ let index_keyspace_rids t txn (ix : index_rt) ~table:tid ~lo_key ~hi_key =
     List.filter_map
       (fun k ->
         match Btree.search ix.itree k with
-        | Some v when index_entry_is_ghost v -> None
-        | Some v when ix.imeta.Catalog.ix_unique ->
-            Some (decode_rid_payload (index_entry_payload v))
-        | Some _ | None -> (
-            match Key_codec.decode k with
-            | [| _; Value.Int rpage; Value.Int rslot |] ->
-                Some { Heap_file.rpage; rslot }
-            | _ -> invalid_arg "Database: corrupt index key"))
+        | Some v when not (index_entry_is_ghost v) -> Some (entry_rid ix k v)
+        | Some _ | None -> None)
       keys
   in
   List.to_seq rids
@@ -349,16 +374,44 @@ let index_keyspace_rids t txn (ix : index_rt) ~table:tid ~lo_key ~hi_key =
          | None -> ());
          Option.map (fun r -> (rid, Row.decode r)) (Heap_file.get rt.heap rid))
 
-let find_index_on t tid col =
+(* Snapshot key-space range walk: no locks. Index entries are versioned
+   like heap rows — {!Btree} records every logged entry mutation, so chains
+   keyed (index id, index key) hold the entry, ghost flag included — hence
+   each key in range resolves at the snapshot, ghosts are skipped, and each
+   rid's row resolves through its own chain. *)
+let index_keyspace_rids_snapshot t ~snap (ix : index_rt) ~table:tid ~lo_key ~hi_key =
+  let heap = (table_rt t tid).heap in
+  let ixid = ix.imeta.Catalog.ix_id in
+  snapshot_range t ix.itree ~obj:ixid ~lo:lo_key ~hi:hi_key ()
+  |> List.filter_map (fun (k, stored) ->
+         match at_snapshot t ~snap ~obj:ixid k ~stored:(fun () -> stored) with
+         | Some v when not (index_entry_is_ghost v) -> Some (entry_rid ix k v)
+         | Some _ | None -> None)
+  |> List.filter_map (fun rid ->
+         at_snapshot t ~snap ~obj:tid (encode_rid_payload rid) ~stored:(fun () ->
+             Heap_file.get heap rid)
+         |> Option.map (fun r -> (rid, Row.decode r)))
+  |> List.to_seq
+
+let index_keyspace_rids t txn ix ~table ~lo_key ~hi_key =
+  match txn with
+  | Some tx when Txn.snapshot_of tx <> None ->
+      index_keyspace_rids_snapshot t ~snap:(snap_of tx) ix ~table ~lo_key ~hi_key
+  | _ -> index_keyspace_rids_locked t txn ix ~table ~lo_key ~hi_key
+
+(* The index on [col], if one can answer [txn]: a snapshot older than the
+   index's build would miss entries for rows deleted between the two, so it
+   reads the heap instead. *)
+let find_index_on t txn tid col =
+  let snap = Option.bind txn Txn.snapshot_of in
   List.find_opt
-    (fun ix -> ix.imeta.Catalog.ix_col = col)
+    (fun ix ->
+      ix.imeta.Catalog.ix_col = col
+      && match snap with Some s -> s >= ix.ix_since | None -> true)
     (table_rt t tid).indexes
 
-(* Index entries are not versioned (ghost reclaim is not horizon-gated), so
-   snapshot transactions answer probes and range scans from filtered
-   snapshot heap scans instead of the index. *)
 let index_probe_rids t txn ~table:tid ~col v =
-  match (if is_snapshot txn then None else find_index_on t tid col) with
+  match find_index_on t txn tid col with
   | None ->
       Metrics.incr t.dmetrics "view.join_scan_fallback";
       heap_scan_rows t txn tid
@@ -384,7 +437,7 @@ let index_range_rids t txn ~table:tid ~col ~lo ~hi =
            let c = Value.compare v h in
            if incl then c <= 0 else c < 0)
   in
-  match (if is_snapshot txn then None else find_index_on t tid col) with
+  match find_index_on t txn tid col with
   | None ->
       Metrics.incr t.dmetrics "view.join_scan_fallback";
       heap_scan_rows t txn tid |> Seq.filter (fun (_, row) -> in_range row)
@@ -448,7 +501,8 @@ let register_index t (meta : Catalog.index_meta) ~tree =
     | None -> Btree.attach t.tmgr ~index_id:meta.Catalog.ix_id ~root:meta.Catalog.ix_root
   in
   let rt = table_rt t meta.Catalog.ix_table in
-  rt.indexes <- rt.indexes @ [ { imeta = meta; itree = tree } ];
+  let ix_since = Ivdb_txn.Mvcc.last_stamp (mvcc t) in
+  rt.indexes <- rt.indexes @ [ { imeta = meta; itree = tree; ix_since } ];
   Hashtbl.replace t.trees meta.Catalog.ix_id tree
 
 let register_view t (meta : Catalog.view_meta) ~tree ~queue =
@@ -1578,6 +1632,7 @@ module Internal = struct
   let lock_row = lock_row
   let route_remote = route_remote
   let heap_scan_rows = heap_scan_rows
+  let snapshot_range = snapshot_range
   let index_probe = index_probe
   let index_probe_rids = index_probe_rids
   let index_range_rids = index_range_rids

@@ -427,6 +427,20 @@ module Internal : sig
   (** Rows of a table with their rids; with a transaction, IS on the table
       and [S] per row. *)
 
+  val snapshot_range :
+    t ->
+    Ivdb_btree.Btree.t ->
+    obj:int ->
+    lo:string ->
+    ?hi:string ->
+    unit ->
+    (string * string option) list
+  (** The keys in [[lo, hi)] a snapshot reader of the tree (catalog id
+      [obj]) must resolve, ascending, each with its stored value: the keys
+      the tree holds now, reached by a seek to [lo], plus the keys in range
+      that only a version chain still holds (stored value [None]). [hi]
+      omitted means unbounded. *)
+
   val index_probe :
     t ->
     Ivdb_txn.Txn.t option ->
@@ -434,8 +448,11 @@ module Internal : sig
     col:int ->
     Ivdb_relation.Value.t ->
     Ivdb_relation.Row.t Seq.t
-  (** Rows with [col = value], via the column's index under key-range
-      locking when one exists (scan fallback otherwise). *)
+  (** Rows with [col = value], via the column's index when one exists —
+      under key-range locking, or for a snapshot transaction by resolving
+      each index entry in range at the snapshot (no locks) — and a scan
+      otherwise (counted as [view.join_scan_fallback]). A snapshot older
+      than the index scans too. *)
 
   val index_probe_rids :
     t ->
@@ -455,8 +472,8 @@ module Internal : sig
     hi:(Ivdb_relation.Value.t * bool) option ->
     (Ivdb_storage.Heap_file.rid * Ivdb_relation.Row.t) Seq.t
   (** Rows with [col] in the interval (bounds are (value, inclusive)
-      pairs), via the column's index under key-range locking when one
-      exists; filtered scan otherwise. *)
+      pairs), via the column's index when one exists, as for
+      {!index_probe}; filtered scan otherwise. *)
 
   val source_rows :
     t ->

@@ -67,18 +67,19 @@ let maybe_auto_refresh db txn v rt =
   | _ -> ()
 
 (* The view row for [key] as of snapshot stamp [snap], or [None] if the
-   group did not exist then. A committed version entry (the value current
-   until the first commit after the snapshot) is the answer outright; a
-   pending before-image likewise — it was captured under the writer's X
-   lock, before any in-flight escrow delta could touch the key. [Current]
-   means no commit after the snapshot touched the key, so the stored row
-   minus every in-flight escrow delta (escrow applies uncommitted
-   increments in place) is the committed — hence at-snapshot — value. *)
-let snapshot_view_row db rt vid key snap =
+   group did not exist then; [stored ()] reads the tree. A committed version
+   entry (the value current until the first commit after the snapshot) is
+   the answer outright; a pending before-image likewise — it was captured
+   under the writer's X lock, before any in-flight escrow delta could touch
+   the key. [Current] means no commit after the snapshot touched the key, so
+   the stored row minus every in-flight escrow delta (escrow applies
+   uncommitted increments in place) is the committed — hence at-snapshot —
+   value. *)
+let snapshot_view_row db rt vid key snap ~stored =
   match Mvcc.resolve (Txn.mvcc (Database.mgr db)) ~obj:vid ~key ~snap with
   | Mvcc.Committed v | Mvcc.Pending v -> Option.map Row.decode v
   | Mvcc.Current -> (
-      match Btree.search rt.Maintain.tree key with
+      match stored () with
       | None -> None
       | Some stored ->
           Some
@@ -90,27 +91,14 @@ let snapshot_view_row db rt vid key snap =
                (Row.decode stored)
                (Ivdb_core.Inflight.pending (I.inflight db) ~vid ~key)))
 
-(* Group keys visible to a snapshot scan: the tree's current keys plus any
-   chain-only keys (rows physically reclaimed after the snapshot began). *)
-let snapshot_view_keys db rt vid =
-  let tree = rt.Maintain.tree in
-  let rec collect acc = function
-    | None -> acc
-    | Some (key, _, c) -> collect (key :: acc) (Btree.cursor_next tree c)
-  in
-  List.sort_uniq String.compare
-    (collect
-       (Mvcc.keys_of_obj (Txn.mvcc (Database.mgr db)) ~obj:vid)
-       (Btree.seek tree ""))
-
-let snapshot_view_scan db tx rt vid ?lo ?hi () =
+(* Groups in [[lo, hi)] as of the snapshot: a seek to [lo] bounds the tree
+   walk, and chain-only keys (groups reclaimed after the snapshot began)
+   are resolved too. *)
+let snapshot_view_scan db tx rt vid ?(lo = "") ?hi () =
   let snap = Option.get (Txn.snapshot_of tx) in
-  snapshot_view_keys db rt vid
-  |> List.filter (fun k ->
-         (match lo with None -> true | Some l -> String.compare k l >= 0)
-         && match hi with None -> true | Some h -> String.compare k h < 0)
-  |> List.filter_map (fun key ->
-         match snapshot_view_row db rt vid key snap with
+  I.snapshot_range db rt.Maintain.tree ~obj:vid ~lo ?hi ()
+  |> List.filter_map (fun (key, stored) ->
+         match snapshot_view_row db rt vid key snap ~stored:(fun () -> stored) with
          | Some row when Aggregate.count_of row > 0 ->
              Some (Key_codec.decode key, row)
          | _ -> None)
@@ -125,6 +113,7 @@ let view_lookup db txn v group =
   | Some tx when Txn.snapshot_of tx <> None -> (
       match
         snapshot_view_row db rt vid key (Option.get (Txn.snapshot_of tx))
+          ~stored:(fun () -> Btree.search rt.Maintain.tree key)
       with
       | Some row when Aggregate.count_of row > 0 -> Some row
       | _ -> None)

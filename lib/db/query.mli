@@ -54,7 +54,9 @@ val view_scan_range :
 (** Groups with [lo <= group < hi]. Under [Serializable] the range — and
     only the range — is phantom-protected: RangeS_S on every key inside
     plus the first key at-or-past [hi] (or EOF), so concurrent group
-    creation inside the range blocks while creation outside proceeds. *)
+    creation inside the range blocks while creation outside proceeds. A
+    snapshot transaction reads the range lock-free as of its stamp, seeking
+    [lo] rather than walking the view from its first key. *)
 
 val view_count : Database.t -> Database.view -> int
 (** Unlocked count of visible (non-zero) groups. *)

@@ -16,7 +16,11 @@ module I = Database.Internal
 
 (* Record the heap row's before-image on the writer's first touch so a
    concurrent snapshot reader can resolve the rid to its pre-transaction
-   value (chains are keyed by (table id, encoded rid)). *)
+   value (chains are keyed by (table id, encoded rid)). The image must be
+   recorded before any step that can block: a reader running while the
+   writer waits would otherwise take storage's uncommitted value as
+   current. Index entries need no call here — {!Btree} records every
+   logged entry mutation itself. *)
 let record_heap_version db tx tid rid before =
   Mvcc.record_write
     (Txn.mvcc (Database.mgr db))
@@ -125,9 +129,13 @@ let insert db tx tbl row =
   let rt = I.table_rt db tid in
   Txn.lock mgr tx (Lock_name.Table tid) Lock_mode.IX;
   let rid, diffs = Heap_file.insert (I.rt_heap rt) (Row.encode row) in
-  I.lock_row db tx tid rid Lock_mode.X;
+  (* log and version the new row before locking it: a reused slot's rid may
+     still be X-locked by a transaction that found its row already gone, and
+     while we wait a snapshot must not read our row as committed, nor may an
+     abort (deadlock victim) leave it behind without undo *)
   Txn.log_update mgr tx ~undo:(Log_record.Undo_heap_insert { table = tid; rid }) diffs;
   record_heap_version db tx tid rid None;
+  I.lock_row db tx tid rid Lock_mode.X;
   List.iter (fun ix -> index_insert db tx ix row.(I.ix_col ix) rid) (I.rt_indexes rt);
   propagate db tx tid 1 row;
   Ivdb_util.Metrics.incr (Database.metrics db) "table.insert";

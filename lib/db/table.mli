@@ -52,6 +52,7 @@ val find :
   Ivdb_relation.Value.t ->
   (Ivdb_storage.Heap_file.rid * Ivdb_relation.Row.t) list
 (** Rows whose column equals the value, with their current rids — through
-    the column's index under key-range locking when one exists, a locked
-    scan otherwise. The idiomatic way to address rows whose rid may have
-    moved (updates relocate rows). *)
+    the column's index when one exists (key-range locked; lock-free and
+    resolved at the snapshot for a snapshot transaction), a scan otherwise.
+    The idiomatic way to address rows whose rid may have moved (updates
+    relocate rows). *)
