@@ -1205,27 +1205,12 @@ let e18_setup c =
    machine dying mid-run. *)
 let e18_phase ?(seed = 11) ?(crash_at = None) ?metrics ?trace dbs cwal f =
   Sched.run ~seed (fun () ->
-      let module Server = Ivdb_server.Server in
-      let module Transport = Ivdb_transport.Transport in
-      let nets =
-        Array.map (fun _ -> Transport.Loopback.create ~backlog:64 ()) dbs
-      in
-      let servers =
-        Array.mapi
-          (fun i net ->
-            let s = Server.create dbs.(i) (Transport.Loopback.listener net) in
-            Server.serve s;
-            s)
-          nets
-      in
-      let c =
-        Coord.create ?metrics ?trace ~wal:cwal
-          (Array.map Transport.Loopback.dialer nets)
-      in
+      let dialers, drain = Ivdb_server.Server.serve_loopback dbs in
+      let c = Coord.create ?metrics ?trace ~wal:cwal dialers in
       Coord.set_crash_at_action c crash_at;
       let r = f c in
       Coord.close c;
-      Array.iter Server.drain servers;
+      drain ();
       r)
 
 let e18_cell ~quick shards mix =

@@ -15,13 +15,15 @@
    --metrics-port serves the coordinator registry's Prometheus
    exposition (per-phase 2PC tick histograms, vote and abort-cause
    counters, fast-path vs 2PC commits, in-doubt gauge); --trace-out
-   streams the gtxn-correlated coordinator trace as JSONL. Stop with
-   Ctrl-C: the listener drains, then decision re-delivery state is
-   reported. *)
+   streams the gtxn-correlated coordinator trace as JSONL. The console
+   is an ordinary Server: admission cap, net.* trace events and
+   server.* metrics included. Stop with Ctrl-C: the listener drains (a
+   session inside the open transaction may still finish it, an idle
+   one is turned away), then the commit counters are reported. *)
 
 module Sched = Ivdb_sched.Sched
 module Coord = Ivdb_coord.Coord
-module Coord_server = Ivdb_coord.Coord_server
+module Server = Ivdb_server.Server
 module Unix_transport = Ivdb_transport.Unix_transport
 module Metrics = Ivdb_util.Metrics
 module Trace = Ivdb_util.Trace
@@ -81,8 +83,10 @@ let run port shards name metrics_port trace_out =
               close_out oc
       in
       let listener, actual_port = Unix_transport.listen ~port () in
-      let srv = Coord_server.create ~name c listener in
-      Coord_server.serve srv;
+      let srv =
+        Coord.server ~config:{ Server.default_config with name } c listener
+      in
+      Server.serve srv;
       Printf.printf "ivdb_coord %S listening on 127.0.0.1:%d (%d shard(s))\n"
         name actual_port (Coord.shard_count c);
       let stop_metrics =
@@ -106,7 +110,13 @@ let run port shards name metrics_port trace_out =
          and keep the scheduler running forever *)
       stop_metrics ();
       close_trace ();
-      Coord_server.drain srv;
+      Server.drain srv;
+      (* sessions inside the distributed transaction may still finish it:
+         keep the shard lines open until every session has left *)
+      while Server.inflight srv > 0 do
+        Unix.sleepf 0.001;
+        Sched.yield ()
+      done;
       Coord.close c);
   match !coord with
   | None -> ()
@@ -160,7 +170,8 @@ let cmd =
           ~doc:
             "Stream the coordinator's gtxn-correlated trace (coord.route, \
              coord.prepare, coord.vote, coord.decision, coord.decide, \
-             coord.fast_path) to $(docv) as JSONL.")
+             coord.fast_path, and the console's net.* events) to $(docv) as \
+             JSONL.")
   in
   Cmd.v
     (Cmd.info "ivdb_coord"

@@ -17,7 +17,6 @@ module Metrics = Ivdb_util.Metrics
 module Fault = Ivdb_storage.Fault
 module Sched = Ivdb_sched.Sched
 module Server = Ivdb_server.Server
-module Transport = Ivdb_transport.Transport
 module Client = Ivdb_client.Client
 module Coord = Ivdb_coord.Coord
 module Value = Ivdb_relation.Value
@@ -157,18 +156,7 @@ let run_sharded ~shards ~cross_pct ~seed ~mpl ~txns ~ops ~groups
   in
   let wall0 = Unix.gettimeofday () in
   Sched.run ~seed (fun () ->
-      let nets =
-        Array.map (fun _ -> Transport.Loopback.create ~backlog:64 ()) dbs
-      in
-      let servers =
-        Array.mapi
-          (fun i net ->
-            let s = Server.create dbs.(i) (Transport.Loopback.listener net) in
-            Server.serve s;
-            s)
-          nets
-      in
-      let dialers = Array.map Transport.Loopback.dialer nets in
+      let dialers, drain = Server.serve_loopback dbs in
       let c0 = Coord.create ~name:"setup" dialers in
       List.iter
         (fun s -> ignore (Coord.exec c0 s))
@@ -294,7 +282,7 @@ let run_sharded ~shards ~cross_pct ~seed ~mpl ~txns ~ops ~groups
           Coord.close c)
         !worker_coords;
       Coord.close c0;
-      Array.iter Server.drain servers);
+      drain ());
   let wall_s = Unix.gettimeofday () -. wall0 in
   let indoubt =
     Array.fold_left (fun acc db -> acc + Database.indoubt_count db) 0 dbs

@@ -32,6 +32,8 @@ module Sql = Ivdb_sql.Sql
 module Sql_parser = Ivdb_sql.Sql_parser
 module Sys_tables = Ivdb_sql.Sys_tables
 module Client = Ivdb_client.Client
+module Server = Ivdb_server.Server
+module Wire = Ivdb_wire.Wire
 module Database = Ivdb.Database
 module Transport = Ivdb_transport.Transport
 module Wal = Ivdb_wal.Wal
@@ -1024,3 +1026,35 @@ let exec c sql =
       match pk_eq c q.A.from q.A.where with
       | Some l -> exec_shard c (route_lit c l) sql
       | None -> exec_shard c 0 sql)
+
+(* --- wire console --------------------------------------------------------- *)
+
+(* One routed statement to its response frame. The incoming Exec's
+   client rid is ignored: the coordinator assigns its own correlation id
+   per statement (last_rid) and stamps it onto every frame it fans out,
+   so the shard-side records join to the coordinator statement, not to
+   the console client's numbering. *)
+let exec_frame c ~seq sql =
+  let err code text = Wire.Err { seq; code; text; txn_open = c.in_txn } in
+  match exec c sql with
+  | Sql.Rows { header; rows } -> Wire.Rows { seq; header; rows }
+  | Sql.Affected n -> Wire.Affected { seq; n }
+  | Sql.Message text -> Wire.Msg { seq; text }
+  | exception (Coord_error text | Sql.Sql_error text) -> err E_sql text
+  | exception Sql_parser.Parse_error text -> err E_parse text
+  | exception Ivdb_sql.Sql_lexer.Lex_error text -> err E_parse text
+  | exception Client.Server_error { code; text; _ } ->
+      (* a shard refused the routed statement: relay its code verbatim,
+         but report the coordinator's transaction state, not the
+         shard's *)
+      err code text
+  | exception Client.Disconnected text -> err E_sql ("shard unreachable: " ^ text)
+  | exception Client.Server_busy { retry_ticks } -> Wire.Busy { retry_ticks }
+
+let server ?config c listener =
+  Server.create_with ?config ~metrics:c.metrics ~trace:c.ctrace
+    (fun () ->
+      Server.session ~exec:(exec_frame c)
+        ~in_transaction:(fun () -> c.in_txn)
+        ~rollback:(fun () -> ignore (exec c "ROLLBACK")))
+    listener

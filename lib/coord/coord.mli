@@ -148,6 +148,33 @@ val recover : t -> int
 
 val in_transaction : t -> bool
 
+val server :
+  ?config:Ivdb_server.Server.config ->
+  t ->
+  Ivdb_transport.Transport.listener ->
+  unit Ivdb_server.Server.t
+(** The coordinator's wire console: an {!Ivdb_server.Server} whose
+    sessions answer every [Exec] through {!exec}, with the engine
+    server's admission cap, drain, slow-query threshold, [net.*] trace
+    events (on {!trace}) and [server.*] metrics (in {!metrics}). An
+    ordinary {!Ivdb_client.Client} connected here sees the whole
+    cluster, including the coordinator-resident catalogs; a
+    [Metrics_req] returns this registry's Prometheus exposition. No
+    [sys.*] provider is installed, so [sys.slow_queries] and the other
+    engine catalogs route to a shard like any other statement.
+
+    Errors map to [Err] frames: {!Coord_error} and
+    {!Ivdb_sql.Sql.Sql_error} → [E_sql] (transaction kept open),
+    parse/lex rejections → [E_parse], a shard's own [Err] is relayed
+    with its original code, and a dead shard line surfaces as [E_sql]
+    ["shard unreachable: …"]. [txn_open] is always the coordinator's
+    transaction state.
+
+    Every console session shares [t]'s one distributed transaction:
+    [BEGIN]/[COMMIT] from concurrent clients interleave on it, and a
+    session that ends (Bye, EOF, corrupt or unexpected frame) while it
+    is open rolls it back, whichever client began it. *)
+
 val shard_count : t -> int
 
 val wal : t -> Ivdb_wal.Wal.t

@@ -24,14 +24,36 @@ let default_config =
     slow_query_ticks = None;
   }
 
+(* What one connection is served by, opened at handshake. The shared
+   loop below owns everything else; a backend supplies only these. *)
+type session = {
+  exec : seq:int -> string -> Wire.frame;
+      (* one statement to its response frame, the backend's own
+         exceptions mapped to Err *)
+  in_transaction : unit -> bool;
+  rollback : unit -> unit;
+  other : Transport.Frame_io.t -> Wire.frame -> other;
+      (* client frames beyond Exec, Metrics_req and Bye *)
+}
+
+and other =
+  | Reply of Wire.frame (* answered; the session goes on *)
+  | Stream of string * (unit -> unit)
+      (* the connection leaves request/response mode for good: its new
+         sys.server_sessions state, then the rest of the session *)
+  | Unexpected
+
+let session ~exec ~in_transaction ~rollback =
+  { exec; in_transaction; rollback; other = (fun _ _ -> Unexpected) }
+
 (* One row of sys.server_sessions: live per-connection accounting. *)
 type sess = {
   se_id : int;
   se_conn : int;
-  mutable se_state : string; (* "idle" | "exec" *)
+  mutable se_state : string; (* "idle" | "exec" | "repl" *)
   mutable se_statements : int;
   mutable se_last_rid : int;
-  se_sql : Sql.session;
+  se_session : session;
 }
 
 (* One row of sys.slow_queries. *)
@@ -46,79 +68,55 @@ type slow = {
 
 let slow_cap = 128
 
-(* One replication slot: the durable record of how far a named replica
-   has applied our log. The slot outlives its connection — a detached
-   replica still pins the WAL retain floor at its acked horizon, so the
-   records it has yet to ship survive checkpoint truncation until it
-   resubscribes. *)
-type replica_state = {
-  rp_name : string;
-  mutable rp_connected : bool;
-  mutable rp_acked : int; (* highest LSN the replica has applied *)
-  mutable rp_tick : int; (* tick of the last subscribe or ack *)
-}
-
-(* Records shipped per ReplRecords frame. Small enough that a slow
-   replica never holds a multi-megabyte payload in flight; large enough
-   to amortize framing over a busy primary's append rate. *)
-let repl_batch_limit = 128
-
-type t = {
-  db : Database.t;
+type 'b t = {
+  backend : 'b;
+  open_session : 'b t -> session;
   listener : Transport.listener;
   config : config;
+  metrics : Metrics.t;
+  trace : Trace.t;
   mutable inflight : int;
-  mutable started : int;
   mutable next_session : int;
   sessions : (int, sess) Hashtbl.t;
   slow : slow Queue.t; (* bounded ring, oldest first *)
-  replicas : (string, replica_state) Hashtbl.t; (* slots by replica name *)
-  mutable attached : Replica.t option;
-      (* on a follower's server: the local replication driver, so
-         sys.replication shows the follower row before promotion and the
-         Promote frame can stop the driver first *)
-  mutable sys_ext : (Sql.session -> unit) list; (* extra sys.* installers *)
   (* metric handles resolved once at create *)
   m_accepted : Metrics.counter;
   m_shed : Metrics.counter;
   m_requests : Metrics.counter;
   m_closed : Metrics.counter;
   m_slow : Metrics.counter;
-  m_repl_batches : Metrics.counter;
-  m_repl_records : Metrics.counter;
   h_inflight : Metrics.hist;
   h_latency : Metrics.hist;
 }
 
-let create ?(config = default_config) db listener =
-  let m = Database.metrics db in
+let make ?(config = default_config) ~metrics ~trace backend open_session
+    listener =
   {
-    db;
+    backend;
+    open_session;
     listener;
     config;
+    metrics;
+    trace;
     inflight = 0;
-    started = 0;
     next_session = 1;
     sessions = Hashtbl.create 16;
     slow = Queue.create ();
-    replicas = Hashtbl.create 4;
-    attached = None;
-    sys_ext = [];
-    m_accepted = Metrics.counter m "server.accepted";
-    m_shed = Metrics.counter m "server.shed";
-    m_requests = Metrics.counter m "server.requests";
-    m_closed = Metrics.counter m "server.sessions_closed";
-    m_slow = Metrics.counter m "server.slow_queries";
-    m_repl_batches = Metrics.counter m "server.repl.batches";
-    m_repl_records = Metrics.counter m "server.repl.records";
-    h_inflight = Metrics.hist m "server.inflight";
-    h_latency = Metrics.hist m "server.request.ticks";
+    m_accepted = Metrics.counter metrics "server.accepted";
+    m_shed = Metrics.counter metrics "server.shed";
+    m_requests = Metrics.counter metrics "server.requests";
+    m_closed = Metrics.counter metrics "server.sessions_closed";
+    m_slow = Metrics.counter metrics "server.slow_queries";
+    h_inflight = Metrics.hist metrics "server.inflight";
+    h_latency = Metrics.hist metrics "server.request.ticks";
   }
+
+let create_with ?config ~metrics ~trace open_session listener =
+  make ?config ~metrics ~trace () (fun _ -> open_session ()) listener
 
 let drain t = t.listener.stop ()
 let draining t = t.listener.stopped ()
 let inflight t = t.inflight
-let sessions_started t = t.started
 
 let slow_queries t = List.of_seq (Queue.to_seq t.slow)
 
@@ -127,13 +125,21 @@ let note_slow t entry =
   Queue.push entry t.slow;
   if Queue.length t.slow > slow_cap then ignore (Queue.pop t.slow)
 
-let trace_emit t ev =
-  let tr = Database.trace t.db in
-  if Trace.enabled tr then Trace.emit tr ev
+let trace_emit t ev = if Trace.enabled t.trace then Trace.emit t.trace ev
+
+let protocol_error text =
+  Wire.Err { seq = 0; code = E_protocol; text; txn_open = false }
+
+(* A draining server's answer to a new session or transaction. *)
+let turn_away io ~seq =
+  Transport.Frame_io.send io
+    (Wire.Err
+       { seq; code = E_draining; text = "server is draining"; txn_open = false });
+  Transport.Frame_io.send io Wire.Bye
 
 (* Live providers for the serving-layer sys.* tables, registered on every
-   session's SQL state at handshake so SELECT over the wire (or a local
-   admin session pointed at the same server) sees the whole registry. *)
+   engine session's SQL state at handshake so SELECT over the wire sees
+   the whole registry. *)
 
 let sessions_rows t () =
   let rows =
@@ -143,7 +149,7 @@ let sessions_rows t () =
           Value.Int se.se_id;
           Value.Int se.se_conn;
           Value.Str se.se_state;
-          Value.Bool (Sql.in_transaction se.se_sql);
+          Value.Bool (se.se_session.in_transaction ());
           Value.Int se.se_statements;
           Value.Int se.se_last_rid;
         |]
@@ -169,15 +175,45 @@ let slow_rows t () =
   in
   (Sys_tables.slow_queries_header, rows)
 
-let replication_rows t () =
-  match t.attached with
-  | Some r when Database.is_follower t.db ->
+(* --- the engine session -------------------------------------------------- *)
+
+(* One replication slot: the durable record of how far a named replica
+   has applied our log. The slot outlives its connection — a detached
+   replica still pins the WAL retain floor at its acked horizon, so the
+   records it has yet to ship survive checkpoint truncation until it
+   resubscribes. *)
+type replica_state = {
+  rp_name : string;
+  mutable rp_connected : bool;
+  mutable rp_acked : int; (* highest LSN the replica has applied *)
+  mutable rp_tick : int; (* tick of the last subscribe or ack *)
+}
+
+(* Records shipped per ReplRecords frame. Small enough that a slow
+   replica never holds a multi-megabyte payload in flight; large enough
+   to amortize framing over a busy primary's append rate. *)
+let repl_batch_limit = 128
+
+type engine = {
+  db : Database.t;
+  replicas : (string, replica_state) Hashtbl.t; (* slots by replica name *)
+  mutable attached : Replica.t option;
+      (* on a follower's server: the local replication driver, so
+         sys.replication shows the follower row before promotion and the
+         Promote frame can stop the driver first *)
+  m_repl_batches : Metrics.counter;
+  m_repl_records : Metrics.counter;
+}
+
+let replication_rows e () =
+  match e.attached with
+  | Some r when Database.is_follower e.db ->
       (* still a follower: show the driver's row; after promote the slot
          rows below take over, making the role transition visible in
          sys.replication *)
       Replica.replication_rows r ()
   | _ ->
-      let wal = Database.wal t.db in
+      let wal = Database.wal e.db in
       let flushed = Wal.flushed_lsn wal in
       let committed = Wal.commit_horizon wal in
       let rows =
@@ -194,78 +230,58 @@ let replication_rows t () =
               Value.Int rp.rp_tick;
             |]
             :: acc)
-          t.replicas []
+          e.replicas []
         |> List.sort compare
       in
       (Sys_tables.replication_header, rows)
 
-let register_sys t session =
-  Sql.add_sys_provider session "sys.server_sessions" (sessions_rows t);
-  Sql.add_sys_provider session "sys.slow_queries" (slow_rows t);
-  Sql.add_sys_provider session "sys.replication" (replication_rows t);
-  List.iter (fun install -> install session) (List.rev t.sys_ext)
-
-let add_sys t install = t.sys_ext <- install :: t.sys_ext
-let attach_replica t r = t.attached <- Some r
+let attach_replica t r = t.backend.attached <- Some r
 
 let replicas t =
   Hashtbl.fold
     (fun _ rp acc -> (rp.rp_name, rp.rp_acked, rp.rp_connected) :: acc)
-    t.replicas []
+    t.backend.replicas []
   |> List.sort compare
 
 (* The WAL must retain every record some slot has yet to acknowledge:
    the floor is the minimum unacked LSN across all slots, detached ones
    included. With no slots the floor lifts and checkpoints truncate
    freely again. *)
-let update_retain_floor t =
+let update_retain_floor e =
   let floor =
     Hashtbl.fold
       (fun _ rp acc ->
         match acc with
         | None -> Some (rp.rp_acked + 1)
         | Some f -> Some (min f (rp.rp_acked + 1)))
-      t.replicas None
+      e.replicas None
   in
-  Wal.set_retain_floor (Database.wal t.db) floor
+  Wal.set_retain_floor (Database.wal e.db) floor
 
 (* Map one statement's execution to its response frame. Exceptions here
    are user errors: the connection survives them all. A deadlock victim
    has already lost its transaction inside the engine, so the session's
    continuation is discarded via ROLLBACK before answering. *)
 let exec_frame session ~seq sql =
+  let err code text =
+    Wire.Err { seq; code; text; txn_open = Sql.in_transaction session }
+  in
   match Sql.exec session sql with
   | Sql.Rows { header; rows } -> Wire.Rows { seq; header; rows }
   | Sql.Affected n -> Wire.Affected { seq; n }
   | Sql.Message text -> Wire.Msg { seq; text }
-  | exception Sql.Sql_error text ->
-      Wire.Err
-        { seq; code = E_sql; text; txn_open = Sql.in_transaction session }
-  | exception Ivdb_sql.Sql_parser.Parse_error text ->
-      Wire.Err
-        { seq; code = E_parse; text; txn_open = Sql.in_transaction session }
-  | exception Ivdb_sql.Sql_lexer.Lex_error text ->
-      Wire.Err
-        { seq; code = E_parse; text; txn_open = Sql.in_transaction session }
-  | exception Database.Constraint_violation text ->
-      Wire.Err
-        {
-          seq;
-          code = E_constraint;
-          text;
-          txn_open = Sql.in_transaction session;
-        }
+  | exception Sql.Sql_error text -> err E_sql text
+  | exception Ivdb_sql.Sql_parser.Parse_error text -> err E_parse text
+  | exception Ivdb_sql.Sql_lexer.Lex_error text -> err E_parse text
+  | exception Database.Constraint_violation text -> err E_constraint text
   | exception Ivdb_txn.Txn.Conflict { reason; _ } ->
       if Sql.in_transaction session then ignore (Sql.exec session "ROLLBACK");
-      Wire.Err { seq; code = E_deadlock; text = reason; txn_open = false }
+      err E_deadlock reason
   | exception Database.Read_only_replica ->
-      Wire.Err
-        {
-          seq;
-          code = E_read_only;
-          text = "read-only replica: writes are not accepted";
-          txn_open = Sql.in_transaction session;
-        }
+      err E_read_only "read-only replica: writes are not accepted"
+
+let repl_error seq text =
+  Wire.Err { seq; code = E_repl; text; txn_open = false }
 
 (* After ReplSubscribe the connection leaves request/response mode for
    good: the server pushes ReplRecords batches and blocks for a ReplAck
@@ -273,24 +289,18 @@ let exec_frame session ~seq sql =
    up. Returning closes the session; the slot — and with it the retain
    floor — survives for the replica's next connection. *)
 let repl_stream t io ~from ~replica =
-  let wal = Database.wal t.db in
+  let e = t.backend in
+  let wal = Database.wal e.db in
   if from < Wal.first_lsn wal || from > Wal.flushed_lsn wal + 1 then begin
     Transport.Frame_io.send io
-      (Wire.Err
-         {
-           seq = 0;
-           code = E_repl;
-           text =
-             Printf.sprintf
-               "cannot stream from LSN %d: retained log spans [%d, %d]" from
-               (Wal.first_lsn wal) (Wal.flushed_lsn wal);
-           txn_open = false;
-         });
+      (repl_error 0
+         (Printf.sprintf "cannot stream from LSN %d: retained log spans [%d, %d]"
+            from (Wal.first_lsn wal) (Wal.flushed_lsn wal)));
     Transport.Frame_io.send io Wire.Bye
   end
   else begin
     let rp =
-      match Hashtbl.find_opt t.replicas replica with
+      match Hashtbl.find_opt e.replicas replica with
       | Some rp -> rp
       | None ->
           let rp =
@@ -301,14 +311,14 @@ let repl_stream t io ~from ~replica =
               rp_tick = Sched.now ();
             }
           in
-          Hashtbl.replace t.replicas replica rp;
+          Hashtbl.replace e.replicas replica rp;
           rp
     in
     (* the replica is authoritative about what it has durably applied *)
     rp.rp_connected <- true;
     rp.rp_acked <- from - 1;
     rp.rp_tick <- Sched.now ();
-    update_retain_floor t;
+    update_retain_floor e;
     (* the ship position is per-connection, not per-slot: a stale pump
        fiber on a dead connection must not advance the position a fresh
        subscription streams from *)
@@ -333,8 +343,8 @@ let repl_stream t io ~from ~replica =
           Transport.Frame_io.send io
             (Wire.ReplRecords { first; upto; committed; flushed; payload });
           sent := upto;
-          Metrics.inc t.m_repl_batches;
-          Metrics.inc_by t.m_repl_records (upto - first + 1);
+          Metrics.inc e.m_repl_batches;
+          Metrics.inc_by e.m_repl_records (upto - first + 1);
           match Transport.Frame_io.recv io with
           | Some (Wire.ReplAck { upto = acked }) ->
               (* the ack is slot/retention progress only — with
@@ -345,18 +355,11 @@ let repl_stream t io ~from ~replica =
                  resubscribe renegotiates the position *)
               rp.rp_acked <- max rp.rp_acked acked;
               rp.rp_tick <- Sched.now ();
-              update_retain_floor t;
+              update_retain_floor e;
               pump ()
           | Some Wire.Bye | None -> ()
           | Some _ ->
-              Transport.Frame_io.send io
-                (Wire.Err
-                   {
-                     seq = 0;
-                     code = E_protocol;
-                     text = "expected ReplAck";
-                     txn_open = false;
-                   })
+              Transport.Frame_io.send io (protocol_error "expected ReplAck")
           | exception Transport.Corrupt _ -> ()
         end
         else begin
@@ -369,246 +372,227 @@ let repl_stream t io ~from ~replica =
     rp.rp_connected <- false
   end
 
-let close_session t se conn =
-  t.inflight <- t.inflight - 1;
-  Hashtbl.remove t.sessions se.se_id;
-  Metrics.inc t.m_closed;
-  trace_emit t (Trace.Net_close { conn = conn.Transport.id });
-  conn.Transport.close ()
+(* Failover admin: promotion needs the engine quiescent, so the attached
+   replication driver is stopped and its fiber unwound before the
+   transaction table is touched. *)
+let promote e ~seq =
+  if not (Database.is_follower e.db) then
+    repl_error seq "not a follower: nothing to promote"
+  else begin
+    (match e.attached with
+    | Some r ->
+        Replica.stop r;
+        let rec wait () =
+          if Replica.status r <> Replica.Stopped then begin
+            Sched.yield ();
+            wait ()
+          end
+        in
+        wait ()
+    | None -> ());
+    match Database.promote e.db with
+    | p ->
+        Wire.Msg
+          {
+            seq;
+            text =
+              Printf.sprintf
+                "promoted to primary: %d in-flight transaction(s) rolled back \
+                 (%d undo record(s)), %d buffered record(s) applied"
+                p.Database.losers_undone p.Database.undo_records
+                p.Database.tail_records;
+          }
+    | exception e -> repl_error seq (Printexc.to_string e)
+  end
+
+let drop_slot e ~seq ~name =
+  match Hashtbl.find_opt e.replicas name with
+  | None -> repl_error seq (Printf.sprintf "no replication slot %S" name)
+  | Some rp when rp.rp_connected ->
+      repl_error seq
+        (Printf.sprintf "slot %S has a live subscription; stop the replica first"
+           name)
+  | Some _ ->
+      Hashtbl.remove e.replicas name;
+      (* the dropped slot may have been the retention floor: recompute
+         so the next checkpoint truncates again *)
+      update_retain_floor e;
+      Wire.Msg { seq; text = Printf.sprintf "dropped replication slot %S" name }
+
+(* 2PC participant. Idempotence first: a coordinator retransmit after
+   reconnect must be answered from the dedupe tables, never re-executed.
+   Each outcome is traced with the coordinator's rid, which joins it to
+   the Coord_prepare/Coord_decide on the other side of the wire. *)
+let prepare t session ~conn ~seq ~rid ~gtxn ~deltas =
+  let abort code text =
+    if Sql.in_transaction session then ignore (Sql.exec session "ROLLBACK");
+    Wire.Err { seq; code; text; txn_open = false }
+  in
+  let reply =
+    match Database.gtxn_status t.backend.db gtxn with
+    | `Prepared -> Wire.Prepared { seq; gtxn }
+    | `Decided committed -> Wire.Decided { seq; gtxn; committed }
+    | `Unknown -> (
+        try
+          (* a delta-only participant has no statements of its own: open
+             the transaction the inbound deltas will be applied in *)
+          if not (Sql.in_transaction session) then
+            ignore (Sql.exec session "BEGIN");
+          Sql.prepare_2pc session ~gtxn ~deltas;
+          Wire.Prepared { seq; gtxn }
+        with
+        | Sql.Sql_error text | Invalid_argument text -> abort E_sql text
+        | Ivdb_txn.Txn.Conflict { reason; _ } -> abort E_deadlock reason
+        | Database.Read_only_replica ->
+            Wire.Err
+              {
+                seq;
+                code = E_read_only;
+                text = "read-only replica: cannot prepare";
+                txn_open = false;
+              })
+  in
+  let outcome =
+    match reply with
+    | Wire.Prepared _ -> "prepared"
+    | Wire.Decided _ -> "decided"
+    | _ -> "no"
+  in
+  trace_emit t (Trace.Twopc_prepare { conn; gtxn; rid; outcome });
+  reply
+
+let decide t ~conn ~seq ~rid ~gtxn ~committed =
+  match Database.decide_2pc t.backend.db ~gtxn ~committed with
+  | (`Applied | `Duplicate | `Presumed_abort) as o ->
+      let outcome =
+        match o with
+        | `Applied -> "applied"
+        | `Duplicate -> "duplicate"
+        | `Presumed_abort -> "presumed_abort"
+      in
+      trace_emit t
+        (Trace.Twopc_decide { conn; gtxn; rid; committed; outcome });
+      Wire.Decided { seq; gtxn; committed }
+  | exception Invalid_argument text ->
+      Wire.Err { seq; code = E_protocol; text; txn_open = false }
+
+(* The frame families only an engine answers: 2PC participant
+   (Prepare/Decide), replication (ReplSubscribe) and failover admin
+   (Promote/DropSlot). *)
+let engine_frames t session io frame =
+  let conn = (Transport.Frame_io.conn io).Transport.id in
+  match frame with
+  | Wire.Prepare { seq; rid; gtxn; deltas } ->
+      Reply (prepare t session ~conn ~seq ~rid ~gtxn ~deltas)
+  | Wire.Decide { seq; rid; gtxn; committed } ->
+      Reply (decide t ~conn ~seq ~rid ~gtxn ~committed)
+  | Wire.ReplSubscribe { from; replica } ->
+      Stream ("repl", fun () -> repl_stream t io ~from ~replica)
+  | Wire.Promote { seq } -> Reply (promote t.backend ~seq)
+  | Wire.DropSlot { seq; name } -> Reply (drop_slot t.backend ~seq ~name)
+  | _ -> Unexpected
+
+(* A fresh SQL session with the live sys.server_sessions /
+   sys.slow_queries / sys.replication providers. *)
+let engine_session t =
+  let sql = Sql.session t.backend.db in
+  Sql.add_sys_provider sql "sys.server_sessions" (sessions_rows t);
+  Sql.add_sys_provider sql "sys.slow_queries" (slow_rows t);
+  Sql.add_sys_provider sql "sys.replication" (replication_rows t.backend);
+  {
+    exec = exec_frame sql;
+    in_transaction = (fun () -> Sql.in_transaction sql);
+    rollback = (fun () -> ignore (Sql.exec sql "ROLLBACK"));
+    other = engine_frames t sql;
+  }
+
+let create ?config db listener =
+  let m = Database.metrics db in
+  let engine =
+    {
+      db;
+      replicas = Hashtbl.create 4;
+      attached = None;
+      m_repl_batches = Metrics.counter m "server.repl.batches";
+      m_repl_records = Metrics.counter m "server.repl.records";
+    }
+  in
+  make ?config ~metrics:m ~trace:(Database.trace db) engine engine_session
+    listener
+
+(* --- the shared connection machinery ------------------------------------- *)
+
+let exec_request t io se ~seq ~rid sql =
+  let conn = Transport.Frame_io.conn io in
+  Metrics.inc t.m_requests;
+  se.se_state <- "exec";
+  se.se_statements <- se.se_statements + 1;
+  se.se_last_rid <- rid;
+  trace_emit t
+    (Trace.Net_request { conn = conn.id; seq; rid; bytes = String.length sql });
+  let t0 = Sched.now () in
+  let reply = se.se_session.exec ~seq sql in
+  let ticks = Sched.now () - t0 in
+  Metrics.record t.h_latency ticks;
+  (match t.config.slow_query_ticks with
+  | Some threshold when ticks >= threshold ->
+      note_slow t
+        {
+          sq_rid = rid;
+          sq_session = se.se_id;
+          sq_seq = seq;
+          sq_ticks = ticks;
+          sq_tick = Sched.now ();
+          sq_sql = sql;
+        };
+      trace_emit t (Trace.Slow_query { conn = conn.id; seq; rid; ticks; sql })
+  | _ -> ());
+  se.se_state <- "idle";
+  Transport.Frame_io.send io reply;
+  trace_emit t
+    (Trace.Net_response
+       { conn = conn.id; seq; rid; frame = Wire.frame_name reply; ticks })
 
 (* Request/response loop after a successful handshake. Returns on Bye,
-   EOF, protocol violation, or drain-with-no-open-txn. *)
+   EOF, protocol violation, or drain-with-no-open-txn; every way out
+   but a streaming takeover leaves no transaction open. *)
 let rec session_loop t io se =
-  let session = se.se_sql in
-  let conn = Transport.Frame_io.conn io in
+  let s = se.se_session in
   match Transport.Frame_io.recv io with
   | None | Some Wire.Bye | (exception Transport.Corrupt _) ->
-      if Sql.in_transaction session then ignore (Sql.exec session "ROLLBACK")
+      if s.in_transaction () then s.rollback ()
+  | Some (Wire.Exec { seq; rid; sql }) ->
+      if draining t && not (s.in_transaction ()) then turn_away io ~seq
+      else begin
+        exec_request t io se ~seq ~rid sql;
+        session_loop t io se
+      end
   | Some (Wire.Metrics_req { seq }) ->
       Metrics.inc t.m_requests;
       Transport.Frame_io.send io
-        (Wire.Msg { seq; text = Metrics.to_prometheus (Database.metrics t.db) });
+        (Wire.Msg { seq; text = Metrics.to_prometheus t.metrics });
       session_loop t io se
-  | Some (Wire.ReplSubscribe { from; replica }) ->
-      Metrics.inc t.m_requests;
-      se.se_state <- "repl";
-      repl_stream t io ~from ~replica
-  | Some (Wire.Promote { seq }) ->
-      Metrics.inc t.m_requests;
-      let reply =
-        if not (Database.is_follower t.db) then
-          Wire.Err
-            {
-              seq;
-              code = E_repl;
-              text = "not a follower: nothing to promote";
-              txn_open = false;
-            }
-        else begin
-          (* promotion needs the engine quiescent: stop the replication
-             driver and wait for its fiber to unwind before touching the
-             transaction table *)
-          (match t.attached with
-          | Some r ->
-              Replica.stop r;
-              let rec wait () =
-                if Replica.status r <> Replica.Stopped then begin
-                  Sched.yield ();
-                  wait ()
-                end
-              in
-              wait ()
-          | None -> ());
-          match Database.promote t.db with
-          | p ->
-              Wire.Msg
-                {
-                  seq;
-                  text =
-                    Printf.sprintf
-                      "promoted to primary: %d in-flight transaction(s) \
-                       rolled back (%d undo record(s)), %d buffered \
-                       record(s) applied"
-                      p.Database.losers_undone p.Database.undo_records
-                      p.Database.tail_records;
-                }
-          | exception e ->
-              Wire.Err
-                { seq; code = E_repl; text = Printexc.to_string e; txn_open = false }
-        end
-      in
-      Transport.Frame_io.send io reply;
-      session_loop t io se
-  | Some (Wire.DropSlot { seq; name }) ->
-      Metrics.inc t.m_requests;
-      let reply =
-        match Hashtbl.find_opt t.replicas name with
-        | None ->
-            Wire.Err
-              {
-                seq;
-                code = E_repl;
-                text = Printf.sprintf "no replication slot %S" name;
-                txn_open = false;
-              }
-        | Some rp when rp.rp_connected ->
-            Wire.Err
-              {
-                seq;
-                code = E_repl;
-                text =
-                  Printf.sprintf "slot %S has a live subscription; stop the replica first"
-                    name;
-                txn_open = false;
-              }
-        | Some _ ->
-            Hashtbl.remove t.replicas name;
-            (* the dropped slot may have been the retention floor: recompute
-               so the next checkpoint truncates again *)
-            update_retain_floor t;
-            Wire.Msg { seq; text = Printf.sprintf "dropped replication slot %S" name }
-      in
-      Transport.Frame_io.send io reply;
-      session_loop t io se
-  | Some (Wire.Prepare { seq; rid; gtxn; deltas }) ->
-      Metrics.inc t.m_requests;
-      let reply =
-        (* idempotence first: a coordinator retransmit after reconnect must
-           be answered from the dedupe tables, never re-executed *)
-        match Database.gtxn_status t.db gtxn with
-        | `Prepared -> Wire.Prepared { seq; gtxn }
-        | `Decided committed -> Wire.Decided { seq; gtxn; committed }
-        | `Unknown -> (
-            try
-              (* a delta-only participant has no statements of its own: open
-                 the transaction the inbound deltas will be applied in *)
-              if not (Sql.in_transaction session) then
-                ignore (Sql.exec session "BEGIN");
-              Sql.prepare_2pc session ~gtxn ~deltas;
-              Wire.Prepared { seq; gtxn }
-            with
-            | Sql.Sql_error text ->
-                if Sql.in_transaction session then
-                  ignore (Sql.exec session "ROLLBACK");
-                Wire.Err { seq; code = E_sql; text; txn_open = false }
-            | Ivdb_txn.Txn.Conflict { reason; _ } ->
-                if Sql.in_transaction session then
-                  ignore (Sql.exec session "ROLLBACK");
-                Wire.Err { seq; code = E_deadlock; text = reason; txn_open = false }
-            | Invalid_argument text ->
-                if Sql.in_transaction session then
-                  ignore (Sql.exec session "ROLLBACK");
-                Wire.Err { seq; code = E_sql; text; txn_open = false }
-            | Database.Read_only_replica ->
-                Wire.Err
-                  {
-                    seq;
-                    code = E_read_only;
-                    text = "read-only replica: cannot prepare";
-                    txn_open = false;
-                  })
-      in
-      (* gtxn-correlated participant event: the coordinator's rid joins
-         this to its Coord_prepare on the other side of the wire *)
-      (let outcome =
-         match reply with
-         | Wire.Prepared _ -> "prepared"
-         | Wire.Decided _ -> "decided"
-         | _ -> "no"
-       in
-       trace_emit t (Trace.Twopc_prepare { conn = conn.id; gtxn; rid; outcome }));
-      Transport.Frame_io.send io reply;
-      session_loop t io se
-  | Some (Wire.Decide { seq; rid; gtxn; committed }) ->
-      Metrics.inc t.m_requests;
-      let reply =
-        match Database.decide_2pc t.db ~gtxn ~committed with
-        | (`Applied | `Duplicate | `Presumed_abort) as o ->
-            let outcome =
-              match o with
-              | `Applied -> "applied"
-              | `Duplicate -> "duplicate"
-              | `Presumed_abort -> "presumed_abort"
-            in
-            trace_emit t
-              (Trace.Twopc_decide { conn = conn.id; gtxn; rid; committed; outcome });
-            Wire.Decided { seq; gtxn; committed }
-        | exception Invalid_argument text ->
-            Wire.Err { seq; code = E_protocol; text; txn_open = false }
-      in
-      Transport.Frame_io.send io reply;
-      session_loop t io se
-  | Some (Wire.Exec { seq; rid; sql }) ->
-      if draining t && not (Sql.in_transaction session) then begin
-        Transport.Frame_io.send io
-          (Wire.Err
-             {
-               seq;
-               code = E_draining;
-               text = "server is draining";
-               txn_open = false;
-             });
-        Transport.Frame_io.send io Wire.Bye
-      end
-      else begin
-        Metrics.inc t.m_requests;
-        se.se_state <- "exec";
-        se.se_statements <- se.se_statements + 1;
-        se.se_last_rid <- rid;
-        trace_emit t
-          (Trace.Net_request
-             { conn = conn.id; seq; rid; bytes = String.length sql });
-        let t0 = Sched.now () in
-        let reply = exec_frame session ~seq sql in
-        let ticks = Sched.now () - t0 in
-        Metrics.record t.h_latency ticks;
-        (match t.config.slow_query_ticks with
-        | Some threshold when ticks >= threshold ->
-            note_slow t
-              {
-                sq_rid = rid;
-                sq_session = se.se_id;
-                sq_seq = seq;
-                sq_ticks = ticks;
-                sq_tick = Sched.now ();
-                sq_sql = sql;
-              };
-            trace_emit t
-              (Trace.Slow_query { conn = conn.id; seq; rid; ticks; sql })
-        | _ -> ());
-        se.se_state <- "idle";
-        Transport.Frame_io.send io reply;
-        trace_emit t
-          (Trace.Net_response
-             { conn = conn.id; seq; rid; frame = Wire.frame_name reply; ticks });
-        session_loop t io se
-      end
-  | Some _ ->
-      (* a server-to-client frame from a client: protocol violation *)
-      Transport.Frame_io.send io
-        (Wire.Err
-           {
-             seq = 0;
-             code = E_protocol;
-             text = "unexpected frame";
-             txn_open = Sql.in_transaction session;
-           });
-      if Sql.in_transaction session then ignore (Sql.exec session "ROLLBACK")
+  | Some frame -> (
+      match s.other io frame with
+      | Reply reply ->
+          Metrics.inc t.m_requests;
+          Transport.Frame_io.send io reply;
+          session_loop t io se
+      | Stream (state, rest) ->
+          Metrics.inc t.m_requests;
+          se.se_state <- state;
+          rest ()
+      | Unexpected ->
+          (* a server-to-client frame from a client: protocol violation *)
+          if s.in_transaction () then s.rollback ();
+          Transport.Frame_io.send io (protocol_error "unexpected frame"))
 
 let handshake t io =
   let conn = Transport.Frame_io.conn io in
   match Transport.Frame_io.recv io with
   | Some (Wire.Hello { version; _ }) when version = Wire.version ->
       if draining t then begin
-        Transport.Frame_io.send io
-          (Wire.Err
-             {
-               seq = 0;
-               code = E_draining;
-               text = "server is draining";
-               txn_open = false;
-             });
-        Transport.Frame_io.send io Wire.Bye;
+        turn_away io ~seq:0;
         None
       end
       else begin
@@ -619,8 +603,6 @@ let handshake t io =
         Transport.Frame_io.send io
           (Wire.Welcome
              { version = Wire.version; server = t.config.name; session });
-        let sql = Sql.session t.db in
-        register_sys t sql;
         let se =
           {
             se_id = session;
@@ -628,7 +610,7 @@ let handshake t io =
             se_state = "idle";
             se_statements = 0;
             se_last_rid = 0;
-            se_sql = sql;
+            se_session = t.open_session t;
           }
         in
         Hashtbl.replace t.sessions session se;
@@ -636,38 +618,24 @@ let handshake t io =
       end
   | Some (Wire.Hello { version; _ }) ->
       Transport.Frame_io.send io
-        (Wire.Err
-           {
-             seq = 0;
-             code = E_protocol;
-             text = Printf.sprintf "unsupported protocol version %d" version;
-             txn_open = false;
-           });
+        (protocol_error (Printf.sprintf "unsupported protocol version %d" version));
       None
   | None -> None
   | Some _ | (exception Transport.Corrupt _) ->
-      Transport.Frame_io.send io
-        (Wire.Err
-           {
-             seq = 0;
-             code = E_protocol;
-             text = "expected Hello";
-             txn_open = false;
-           });
+      Transport.Frame_io.send io (protocol_error "expected Hello");
       None
 
 let session_fiber t conn =
   let io = Transport.Frame_io.create conn in
-  match handshake t io with
+  (match handshake t io with
   | Some se ->
-      (try session_loop t io se
-       with Transport.Corrupt _ -> ());
-      close_session t se conn
-  | None | (exception Transport.Corrupt _) ->
-      t.inflight <- t.inflight - 1;
-      Metrics.inc t.m_closed;
-      trace_emit t (Trace.Net_close { conn = conn.Transport.id });
-      conn.Transport.close ()
+      (try session_loop t io se with Transport.Corrupt _ -> ());
+      Hashtbl.remove t.sessions se.se_id
+  | None | (exception Transport.Corrupt _) -> ());
+  t.inflight <- t.inflight - 1;
+  Metrics.inc t.m_closed;
+  trace_emit t (Trace.Net_close { conn = conn.Transport.id });
+  conn.Transport.close ()
 
 let admit t conn =
   if t.inflight >= t.config.max_inflight then begin
@@ -680,7 +648,6 @@ let admit t conn =
   end
   else begin
     t.inflight <- t.inflight + 1;
-    t.started <- t.started + 1;
     Metrics.inc t.m_accepted;
     Metrics.record t.h_inflight t.inflight;
     trace_emit t (Trace.Net_accept { conn = conn.Transport.id });
@@ -702,3 +669,17 @@ let serve t =
                end
          in
          loop ()))
+
+let serve_loopback ?config dbs =
+  let nets =
+    Array.map (fun _ -> Transport.Loopback.create ~backlog:64 ()) dbs
+  in
+  let servers =
+    Array.mapi
+      (fun i net ->
+        let s = create ?config dbs.(i) (Transport.Loopback.listener net) in
+        serve s;
+        s)
+      nets
+  in
+  (Array.map Transport.Loopback.dialer nets, fun () -> Array.iter drain servers)

@@ -5,7 +5,9 @@
    every-force-point sweep (clean and torn tail), the prepare/decide
    retransmit dedupe regression, and presumed abort's cost and recovery:
    the per-commit force budget, gtxn id reservation across a restart,
-   and pull recovery of in-doubt gtxns through sys.indoubt.
+   and pull recovery of in-doubt gtxns through sys.indoubt; and the
+   coordinator's wire console (catalogs over the wire, rollback on
+   disconnect, drain).
 
    The crash sweeps follow the repo's standard shape: run a scripted
    workload once unarmed to size the sweep, then re-run it once per
@@ -21,10 +23,10 @@ module Database = Ivdb.Database
 module Metrics = Ivdb_util.Metrics
 module Sql = Ivdb_sql.Sql
 module Transport = Ivdb_transport.Transport
+module Wire = Ivdb_wire.Wire
 module Server = Ivdb_server.Server
 module Client = Ivdb_client.Client
 module Coord = Ivdb_coord.Coord
-module Coord_server = Ivdb_coord.Coord_server
 module Trace = Ivdb_util.Trace
 module Wal = Ivdb_wal.Wal
 module Log_record = Ivdb_wal.Log_record
@@ -67,22 +69,11 @@ let fresh_cluster shards =
    models the whole machine dying mid-run. *)
 let phase ?(seed = 11) ?trace cl f =
   Sched.run ~seed (fun () ->
-      let nets =
-        Array.map (fun _ -> Transport.Loopback.create ~backlog:64 ()) cl.dbs
-      in
-      let servers =
-        Array.mapi
-          (fun i net ->
-            let s = Server.create cl.dbs.(i) (Transport.Loopback.listener net) in
-            Server.serve s;
-            s)
-          nets
-      in
-      let dialers = Array.map Transport.Loopback.dialer nets in
+      let dialers, drain = Server.serve_loopback cl.dbs in
       let c = Coord.create ?trace ~wal:cl.cwal dialers in
       let r = f c dialers in
       Coord.close c;
-      Array.iter Server.drain servers;
+      drain ();
       r)
 
 (* Power loss: volatile state (open sessions, unforced tails) is gone;
@@ -504,7 +495,7 @@ let black_hole_dialer (inner : Transport.dialer) needle drops =
    brand-new empty transaction and vote yes, silently committing a
    partial transaction. The coordinator must treat the dead line as a No
    vote and abort everywhere. *)
-let cross_shard_cluster seed f =
+let cross_shard_cluster ?config seed f =
   let shards = 2 in
   let dbs =
     Array.init shards (fun i ->
@@ -513,31 +504,19 @@ let cross_shard_cluster seed f =
         db)
   in
   Sched.run ~seed (fun () ->
-      let nets =
-        Array.map (fun _ -> Transport.Loopback.create ~backlog:64 ()) dbs
-      in
-      let servers =
-        Array.mapi
-          (fun i net ->
-            let s = Server.create dbs.(i) (Transport.Loopback.listener net) in
-            Server.serve s;
-            s)
-          nets
-      in
-      let r = f dbs nets in
-      Array.iter Server.drain servers;
+      let dialers, drain = Server.serve_loopback ?config dbs in
+      let r = f dbs dialers in
+      drain ();
       r)
 
 let test_prepare_loss_aborts () =
   let shards = 2 in
-  cross_shard_cluster 13 (fun dbs nets ->
+  cross_shard_cluster 13 (fun dbs dialers ->
       let drops = ref [] in
       let dialers =
         Array.mapi
-          (fun i net ->
-            let d = Transport.Loopback.dialer net in
-            if i = 0 then black_hole_dialer d "coord:1" drops else d)
-          nets
+          (fun i d -> if i = 0 then black_hole_dialer d "coord:1" drops else d)
+          dialers
       in
       let c = Coord.create dialers in
       ignore (Coord.exec c "CREATE TABLE t (k INT NOT NULL, x INT)");
@@ -579,14 +558,12 @@ let test_prepare_loss_aborts () =
 
 let test_decision_redelivery () =
   let shards = 2 in
-  cross_shard_cluster 17 (fun dbs nets ->
+  cross_shard_cluster 17 (fun dbs dialers ->
       let drops = ref [] in
       let dialers =
         Array.mapi
-          (fun i net ->
-            let d = Transport.Loopback.dialer net in
-            if i = 1 then black_hole_dialer d "coord:1" drops else d)
-          nets
+          (fun i d -> if i = 1 then black_hole_dialer d "coord:1" drops else d)
+          dialers
       in
       let c = Coord.create dialers in
       ignore (Coord.exec c "CREATE TABLE t (k INT NOT NULL, x INT)");
@@ -622,8 +599,7 @@ let test_decision_redelivery () =
    prepared. *)
 let test_stale_abort_is_no_vote () =
   let shards = 2 in
-  cross_shard_cluster 19 (fun dbs nets ->
-      let dialers = Array.map Transport.Loopback.dialer nets in
+  cross_shard_cluster 19 (fun dbs dialers ->
       let c = Coord.create dialers in
       ignore (Coord.exec c "CREATE TABLE t (k INT NOT NULL, x INT)");
       let k0 = keys_owned_by ~shards 0 2 and k1 = (keys_owned_by ~shards 1 1).(0) in
@@ -789,8 +765,7 @@ let test_restart_and_pull_recovery () =
    recovery claims only the in-doubt gtxns carrying its own name. *)
 let test_recover_claims_own_gtxns () =
   let shards = 2 in
-  cross_shard_cluster 21 (fun dbs nets ->
-      let dialers = Array.map Transport.Loopback.dialer nets in
+  cross_shard_cluster 21 (fun dbs dialers ->
       let k0 = keys_owned_by ~shards 0 2 and k1 = keys_owned_by ~shards 1 2 in
       let setup = Coord.create ~name:"setup" dialers in
       ignore (Coord.exec setup "CREATE TABLE t (k INT NOT NULL, x INT)");
@@ -875,14 +850,10 @@ let crash_both_prepared dbs dialers =
   (Wal.crash cwal (Metrics.create ()), k0.(1))
 
 let shard1_down_cluster seed f =
-  cross_shard_cluster seed (fun dbs nets ->
+  cross_shard_cluster seed (fun dbs dialers ->
       let down = ref false in
       let dialers =
-        Array.mapi
-          (fun i net ->
-            let d = Transport.Loopback.dialer net in
-            if i = 1 then down_dialer d down else d)
-          nets
+        Array.mapi (fun i d -> if i = 1 then down_dialer d down else d) dialers
       in
       f dbs dialers down)
 
@@ -940,8 +911,7 @@ let test_pull_recovery_rereads_unreachable_shard () =
    past the last block. *)
 let test_gid_blocks () =
   let shards = 2 in
-  cross_shard_cluster 27 (fun _ nets ->
-      let dialers = Array.map Transport.Loopback.dialer nets in
+  cross_shard_cluster 27 (fun _ dialers ->
       let cm = Metrics.create () in
       let cwal = Wal.create cm in
       let c = Coord.create ~wal:cwal dialers in
@@ -1081,44 +1051,36 @@ let test_trace_determinism () =
   expect "participants traced the Decide with the same identity" s1
     {|"gtxn": "coord:1", "rid": 7, "committed": true, "outcome": "applied"|}
 
-(* The whole observability surface over the wire: an ordinary client
-   connected to Coord_server sees the coordinator catalogs, the
-   Prometheus rollup, and shard-side slow-query rows carrying the
-   coordinator's correlation ids. *)
-let test_catalogs_over_wire () =
-  let shards = 2 in
-  let dbs =
-    Array.init shards (fun i ->
-        let db = Database.create () in
-        Coord.configure_shard db ~shard:i ~shards;
-        db)
-  in
-  Sched.run ~seed:23 (fun () ->
-      let nets =
-        Array.map (fun _ -> Transport.Loopback.create ~backlog:64 ()) dbs
-      in
-      let servers =
-        Array.mapi
-          (fun i net ->
-            let s =
-              Server.create
-                ~config:{ Server.default_config with slow_query_ticks = Some 0 }
-                dbs.(i)
-                (Transport.Loopback.listener net)
-            in
-            Server.serve s;
-            s)
-          nets
-      in
-      let dialers = Array.map Transport.Loopback.dialer nets in
+(* A 2-shard cluster behind the coordinator's wire console (named
+   "coord-console") on its own loopback net. [f] gets the shard engines,
+   the coordinator, the console server and a console dialer. *)
+let console_cluster ?shard_config seed f =
+  cross_shard_cluster ?config:shard_config seed (fun dbs dialers ->
       let c = Coord.create dialers in
       let cnet = Transport.Loopback.create ~backlog:16 () in
       let csrv =
-        Coord_server.create ~name:"coord-console" c
+        Coord.server
+          ~config:{ Server.default_config with name = "coord-console" }
+          c
           (Transport.Loopback.listener cnet)
       in
-      Coord_server.serve csrv;
-      let cl = Client.connect (Transport.Loopback.dialer cnet) in
+      Server.serve csrv;
+      let r = f dbs c csrv (Transport.Loopback.dialer cnet) in
+      Coord.close c;
+      Server.drain csrv;
+      r)
+
+(* The whole observability surface over the wire: an ordinary client
+   connected to the coordinator console sees the coordinator catalogs,
+   the Prometheus rollup, and shard-side slow-query rows carrying the
+   coordinator's correlation ids. *)
+let test_catalogs_over_wire () =
+  let shards = 2 in
+  console_cluster
+    ~shard_config:{ Server.default_config with slow_query_ticks = Some 0 }
+    23
+    (fun _ c _ dial ->
+      let cl = Client.connect dial in
       check Alcotest.string "welcome names the coordinator" "coord-console"
         (Client.server_name cl);
       ignore
@@ -1200,10 +1162,77 @@ let test_catalogs_over_wire () =
              | [| Value.Int rid; Value.Str _ |] -> rid = commit_rid
              | _ -> false)
            slow);
-      Client.close cl;
-      Coord.close c;
-      Coord_server.drain csrv;
-      Array.iter Server.drain servers)
+      Client.close cl)
+
+let wait_until what cond =
+  let rec go n =
+    if not (cond ()) then
+      if n = 0 then Alcotest.failf "timed out waiting for %s" what
+      else begin
+        Sched.yield ();
+        go (n - 1)
+      end
+  in
+  go 10_000
+
+(* Regression: a console client that goes away mid-transaction must not
+   leave the coordinator transaction, and the shard transaction holding
+   its locks, open for every client after it. *)
+let test_console_disconnect_rolls_back () =
+  console_cluster 29 (fun dbs c csrv dial ->
+      let k0 = (keys_owned_by ~shards:2 0 1).(0) in
+      let a = Client.connect dial in
+      ignore (Client.exec a "CREATE TABLE t (k INT NOT NULL, x INT)");
+      ignore (Client.exec a "BEGIN");
+      ignore (Client.exec a (Printf.sprintf "INSERT INTO t VALUES (%d, 1)" k0));
+      Client.close a;
+      wait_until "the session to close" (fun () -> Server.inflight csrv = 0);
+      Alcotest.(check bool) "coordinator transaction closed" false
+        (Coord.in_transaction c);
+      check Alcotest.int "shard 0 holds no open transaction" 0
+        (List.length (Ivdb_txn.Txn.active_txns (Database.mgr dbs.(0))));
+      let b = Client.connect dial in
+      ignore (Client.exec b "BEGIN");
+      check Alcotest.int "the insert was rolled back" 0
+        (List.length
+           (rows
+              (Client.exec b (Printf.sprintf "SELECT k FROM t WHERE k = %d" k0))));
+      ignore (Client.exec b "COMMIT");
+      Client.close b)
+
+(* Drain on the console follows the engine server's rules: a session
+   inside the transaction may still COMMIT, and an idle session's next
+   statement is answered with E_draining and Bye. The idle session
+   speaks raw frames so the Bye is observed, not reconnected past. *)
+let test_console_drain () =
+  console_cluster 31 (fun _ c csrv dial ->
+      let k0 = (keys_owned_by ~shards:2 0 1).(0)
+      and k1 = (keys_owned_by ~shards:2 1 1).(0) in
+      let idle = Transport.Frame_io.create (dial.Transport.dial ()) in
+      Transport.Frame_io.send idle
+        (Wire.Hello { version = Wire.version; client = "idle"; resume = None });
+      (match Transport.Frame_io.recv idle with
+      | Some (Wire.Welcome _) -> ()
+      | _ -> Alcotest.fail "expected Welcome");
+      let busy = Client.connect dial in
+      ignore (Client.exec busy "CREATE TABLE t (k INT NOT NULL, x INT)");
+      ignore (Client.exec busy "BEGIN");
+      ignore (Client.exec busy (Printf.sprintf "INSERT INTO t VALUES (%d, 1)" k0));
+      Server.drain csrv;
+      ignore (Client.exec busy (Printf.sprintf "INSERT INTO t VALUES (%d, 2)" k1));
+      ignore (Client.exec busy "COMMIT");
+      check Alcotest.int "the drained transaction committed both rows" 2
+        (List.length (rows (Coord.exec c "SELECT k FROM t")));
+      Transport.Frame_io.send idle
+        (Wire.Exec { seq = 1; rid = 0; sql = "SELECT k FROM t" });
+      (match Transport.Frame_io.recv idle with
+      | Some (Wire.Err { code; _ }) ->
+          check Alcotest.string "idle session turned away" "draining"
+            (Wire.error_code_name code)
+      | _ -> Alcotest.fail "expected Err E_draining");
+      Alcotest.(check bool) "then Bye" true
+        (Transport.Frame_io.recv idle = Some Wire.Bye);
+      Client.close busy)
 
 (* --- coordinator restart without crash --------------------------------- *)
 
@@ -1314,5 +1343,8 @@ let () =
             `Quick test_trace_determinism;
           Alcotest.test_case "catalogs, rollup and rids over the wire" `Quick
             test_catalogs_over_wire;
+          Alcotest.test_case "a console disconnect rolls back" `Quick
+            test_console_disconnect_rolls_back;
+          Alcotest.test_case "console drain" `Quick test_console_drain;
         ] );
     ]

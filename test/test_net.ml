@@ -221,6 +221,38 @@ let test_drain_lets_open_txn_finish () =
       check Alcotest.int "drain committed both rows" 2 (List.length rows)
   | _ -> Alcotest.fail "expected rows"
 
+(* --- protocol violations ---------------------------------------------------- *)
+
+(* A server-to-client frame from a client ends the session. The open
+   transaction is rolled back before the Err goes out, so the Err
+   reports it closed. Raw frames, since a Client never misbehaves. *)
+let test_unexpected_frame_rolls_back () =
+  let db = Database.create () in
+  with_loopback_server db (fun _srv dial ->
+      let io = Transport.Frame_io.create (dial.Transport.dial ()) in
+      let send = Transport.Frame_io.send io in
+      send (Wire.Hello { version = Wire.version; client = "raw"; resume = None });
+      (match Transport.Frame_io.recv io with
+      | Some (Wire.Welcome _) -> ()
+      | _ -> Alcotest.fail "expected Welcome");
+      List.iteri
+        (fun i sql ->
+          send (Wire.Exec { seq = i + 1; rid = 0; sql });
+          match Transport.Frame_io.recv io with
+          | Some (Wire.Err _) | None -> Alcotest.failf "%s failed" sql
+          | Some _ -> ())
+        [ "CREATE TABLE t (a INT NOT NULL)"; "BEGIN"; "INSERT INTO t VALUES (1)" ];
+      send (Wire.Affected { seq = 4; n = 1 });
+      (match Transport.Frame_io.recv io with
+      | Some (Wire.Err { code; txn_open; _ }) ->
+          check Alcotest.string "code" "protocol" (Wire.error_code_name code);
+          Alcotest.(check bool) "reported after the rollback" false txn_open
+      | _ -> Alcotest.fail "expected Err E_protocol");
+      Alcotest.(check bool) "session closed" true
+        (Transport.Frame_io.recv io = None));
+  check Alcotest.int "the row is gone" 0
+    (List.length (rows (Sql.exec (Sql.session db) "SELECT a FROM t")))
+
 (* --- closed-loop network workload ------------------------------------------ *)
 
 let small_spec =
@@ -343,6 +375,11 @@ let () =
         [
           Alcotest.test_case "open txn finishes, idle turned away" `Quick
             test_drain_lets_open_txn_finish;
+        ] );
+      ( "protocol",
+        [
+          Alcotest.test_case "unexpected frame rolls back first" `Quick
+            test_unexpected_frame_rolls_back;
         ] );
       ( "net workload",
         [
