@@ -6,7 +6,12 @@ module Log_record = Ivdb_wal.Log_record
 
 exception Duplicate_key of string
 
-type t = { mgr : Txn.mgr; idx : int; root_pid : int }
+type t = {
+  mgr : Txn.mgr;
+  idx : int;
+  root_pid : int;
+  m_split : Ivdb_util.Metrics.counter;
+}
 
 let root t = t.root_pid
 let index_id t = t.idx
@@ -18,15 +23,21 @@ let pool t = Txn.pool t.mgr
    promotes. *)
 let interior_full p = Bt_node.free_space p < Bt_node.max_entry + 8 + 2
 
+let attach mgr ~index_id ~root =
+  {
+    mgr;
+    idx = index_id;
+    root_pid = root;
+    m_split = Ivdb_util.Metrics.counter (Txn.metrics mgr) "btree.split";
+  }
+
 let create mgr ~index_id =
   let stx = Txn.begin_system mgr in
   let pid = Disk.alloc_page (Txn.disk mgr) in
   let (), d = Bufpool.update (Txn.pool mgr) pid (fun p -> Bt_node.init_leaf p) in
   Txn.log_update mgr stx ~undo:Log_record.No_undo [ (pid, d) ];
   Txn.commit mgr stx;
-  { mgr; idx = index_id; root_pid = pid }
-
-let attach mgr ~index_id ~root = { mgr; idx = index_id; root_pid = root }
+  attach mgr ~index_id ~root:pid
 
 (* --- descent ------------------------------------------------------------ *)
 
@@ -186,7 +197,7 @@ let make_room t ~key ~need =
   in
   descend t.root_pid;
   Txn.commit t.mgr stx;
-  Ivdb_util.Metrics.incr (Txn.metrics t.mgr) "btree.split"
+  Ivdb_util.Metrics.inc t.m_split
 
 (* --- point operations ---------------------------------------------------- *)
 
@@ -541,5 +552,5 @@ let vacuum t =
   relink_chain stx;
   Txn.commit t.mgr stx;
   if !freed > 0 then
-    Ivdb_util.Metrics.add (Txn.metrics t.mgr) "btree.vacuum_freed" !freed;
+    Ivdb_util.Metrics.(inc_by (counter (Txn.metrics t.mgr) "btree.vacuum_freed") !freed);
   !freed

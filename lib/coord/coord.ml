@@ -301,7 +301,7 @@ let create ?(name = "coord") ?wal ?metrics ?trace dialers =
       m_abort_dead = Metrics.counter metrics "coord.abort.dead_line";
       m_abort_poisoned = Metrics.counter metrics "coord.abort.poisoned";
       m_redeliver = Metrics.counter metrics "coord.redeliver.attempts";
-      m_indoubt = Metrics.counter metrics "coord.indoubt";
+      m_indoubt = Metrics.gauge metrics "coord.indoubt";
       h_prepare = Metrics.hist metrics "coord.prepare.ticks";
       h_force = Metrics.hist metrics "coord.decision_force.ticks";
       h_decide = Metrics.hist metrics "coord.decide.ticks";
@@ -321,9 +321,9 @@ let in_transaction c = c.in_txn
 let temit c ev = if Trace.enabled c.ctrace then Trace.emit c.ctrace ev
 let touch c i = c.health.(i).sh_last_contact <- Sched.now ()
 
-(* the in-doubt gauge tracks |pending| through a counter handle *)
+(* the in-doubt gauge tracks |pending| *)
 let sync_indoubt c =
-  Metrics.inc_by c.m_indoubt (Hashtbl.length c.pending - Metrics.value c.m_indoubt)
+  Metrics.set c.m_indoubt (Hashtbl.length c.pending)
 
 let stats c =
   {

@@ -88,6 +88,8 @@ type t = {
   dtrace : Trace.t;
   m_retry : Metrics.counter;
   m_give_up : Metrics.counter;
+  m_insert : Metrics.counter;
+  m_delete : Metrics.counter;
   disk : Disk.t;
   dpool : Bufpool.t;
   dwal : Wal.t;
@@ -198,7 +200,7 @@ let lock_row t tx tid rid mode =
         in
         incr c;
         if !c = threshold then begin
-          Metrics.incr t.dmetrics "lock.escalation";
+          Metrics.inc (Metrics.counter t.dmetrics "lock.escalation");
           let table_mode =
             match mode with
             | Lock_mode.X | Lock_mode.U -> Lock_mode.X
@@ -413,7 +415,7 @@ let find_index_on t txn tid col =
 let index_probe_rids t txn ~table:tid ~col v =
   match find_index_on t txn tid col with
   | None ->
-      Metrics.incr t.dmetrics "view.join_scan_fallback";
+      Metrics.inc (Metrics.counter t.dmetrics "view.join_scan_fallback");
       heap_scan_rows t txn tid
       |> Seq.filter (fun (_, row) -> Value.equal row.(col) v)
   | Some ix ->
@@ -439,7 +441,7 @@ let index_range_rids t txn ~table:tid ~col ~lo ~hi =
   in
   match find_index_on t txn tid col with
   | None ->
-      Metrics.incr t.dmetrics "view.join_scan_fallback";
+      Metrics.inc (Metrics.counter t.dmetrics "view.join_scan_fallback");
       heap_scan_rows t txn tid |> Seq.filter (fun (_, row) -> in_range row)
   | Some ix ->
       let lo_key =
@@ -607,6 +609,8 @@ let bare ?(config = default_config) ?(role = Primary) ?trace ~metrics ~disk ~wal
       dtrace = trace;
       m_retry = Metrics.counter metrics "txn.retry";
       m_give_up = Metrics.counter metrics "txn.give_up";
+      m_insert = Metrics.counter metrics "table.insert";
+      m_delete = Metrics.counter metrics "table.delete";
       disk;
       dpool;
       dwal = wal;
@@ -1033,7 +1037,7 @@ let checkpoint_gen t ~truncate =
          can be reset to fresh and rebuilt from its complete diff history
          (the same trade as PostgreSQL's full_page_writes — pay log volume
          for torn-page recoverability) *)
-      Metrics.incr t.dmetrics "fault.truncation_skipped"
+      Metrics.inc (Metrics.counter t.dmetrics "fault.truncation_skipped")
     else begin
       let safe =
         List.fold_left min ckpt
@@ -1145,7 +1149,7 @@ let route_remote t tx ~vid ~key delta =
         in
         l := (dest, vid, key, bytes) :: !l;
         Txn.note_delta tx;
-        Metrics.incr t.dmetrics "shard.outbound_delta";
+        Metrics.inc (Metrics.counter t.dmetrics "shard.outbound_delta");
         true
       end
   | _ -> false
@@ -1183,7 +1187,7 @@ let prepare_2pc t tx ~gtxn ~deltas =
     (Deltas.decode deltas);
   Txn.prepare t.tmgr tx ~gtxn ~deltas;
   Hashtbl.replace t.indoubt_2pc gtxn tx;
-  Metrics.incr t.dmetrics "shard.prepared"
+  Metrics.inc (Metrics.counter t.dmetrics "shard.prepared")
 
 (* 2PC phase 2: idempotent against retransmits. An unknown gtxn with an
    abort decision is presumed-abort (this shard never prepared it, or its
@@ -1197,7 +1201,7 @@ let decide_2pc t ~gtxn ~committed =
       if committed then Txn.commit t.tmgr tx else Txn.abort t.tmgr tx;
       Hashtbl.replace t.decided_2pc gtxn committed;
       t.last_decided <- Some gtxn;
-      Metrics.incr t.dmetrics "shard.decided";
+      Metrics.inc (Metrics.counter t.dmetrics "shard.decided");
       `Applied
   | None -> (
       match Hashtbl.find_opt t.decided_2pc gtxn with
@@ -1289,10 +1293,11 @@ let crash old =
     else analysis
   in
   let redo = Recovery.redo wal t.dpool analysis in
-  Metrics.add metrics "recovery.redo_applied" redo.Recovery.applied;
-  Metrics.add metrics "recovery.torn_pages" (List.length redo.Recovery.torn_pages);
-  Metrics.add metrics "recovery.losers" (List.length analysis.Recovery.losers);
-  Metrics.add metrics "recovery.stable_records" analysis.Recovery.stable_records;
+  let count name n = Metrics.inc_by (Metrics.counter metrics name) n in
+  count "recovery.redo_applied" redo.Recovery.applied;
+  count "recovery.torn_pages" (List.length redo.Recovery.torn_pages);
+  count "recovery.losers" (List.length analysis.Recovery.losers);
+  count "recovery.stable_records" analysis.Recovery.stable_records;
   Txn.bump_txn_id t.tmgr analysis.Recovery.max_txn_id;
   (match analysis.Recovery.catalog with
   | Some snap ->
@@ -1324,8 +1329,7 @@ let crash old =
           relock_indoubt t tx;
           Hashtbl.replace t.indoubt_2pc d.Recovery.id_gtxn tx)
         analysis.Recovery.indoubt;
-      Metrics.add metrics "recovery.indoubt"
-        (List.length analysis.Recovery.indoubt);
+      count "recovery.indoubt" (List.length analysis.Recovery.indoubt);
       (* Stable Decision records rebuild the retransmit-dedupe memory, and
          settle right away any in-doubt transaction whose decision was
          logged but whose Commit/End never went stable. Commit mode is
@@ -1420,7 +1424,7 @@ let apply_replicated t records =
        Heap_file handle: adopt any pages appended behind the caches so
        scans and digests see the full chain *)
     Hashtbl.iter (fun _ heap -> Heap_file.refresh heap) t.heaps;
-    Metrics.add t.dmetrics "repl.applied_records" !applied
+    Metrics.inc_by (Metrics.counter t.dmetrics "repl.applied_records") !applied
   end
 
 (* On a follower every *applied* record is stable (ingest forces nothing
@@ -1488,7 +1492,7 @@ let promote t =
       Txn.rollback_tail t.tmgr loser ~from:last)
     analysis.Recovery.losers;
   checkpoint_gen t ~truncate:false;
-  Metrics.incr t.dmetrics "repl.promotions";
+  Metrics.inc (Metrics.counter t.dmetrics "repl.promotions");
   {
     tail_records = tail;
     losers_undone = List.length analysis.Recovery.losers;
@@ -1629,6 +1633,8 @@ module Internal = struct
   let encode_rid_payload = encode_rid_payload
   let index_key = index_key
   let inflight t = t.inflight
+  let m_insert t = t.m_insert
+  let m_delete t = t.m_delete
   let lock_row = lock_row
   let route_remote = route_remote
   let heap_scan_rows = heap_scan_rows

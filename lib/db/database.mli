@@ -395,6 +395,10 @@ module Internal : sig
   val view_rt : t -> int -> Ivdb_core.Maintain.runtime
   val inflight : t -> Ivdb_core.Inflight.t
 
+  val m_insert : t -> Ivdb_util.Metrics.counter
+  val m_delete : t -> Ivdb_util.Metrics.counter
+  (** The [table.insert] / [table.delete] counters, resolved at create. *)
+
   (** Row lock with escalation accounting; a covering table lock makes it
       a no-op. *)
   val lock_row :

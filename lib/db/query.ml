@@ -10,6 +10,7 @@ module Aggregate = Ivdb_core.Aggregate
 module Maintain = Ivdb_core.Maintain
 module Deferred = Ivdb_core.Deferred
 module Mvcc = Ivdb_txn.Mvcc
+module Metrics = Ivdb_util.Metrics
 module I = Database.Internal
 
 type locking = Serializable | Read_committed | Dirty
@@ -57,12 +58,12 @@ let maybe_auto_refresh db txn v rt =
   | Some tx, Some q when Txn.snapshot_of tx = None -> (
       match Database.view_refresh_threshold db v with
       | Some threshold when Deferred.pending q > threshold ->
-          Ivdb_util.Metrics.incr (Database.metrics db) "view.auto_refresh";
+          Metrics.inc (Metrics.counter (Database.metrics db) "view.auto_refresh");
           let n =
             Deferred.drain tx q ~apply:(fun ~key delta ->
                 Maintain.apply_delta_exclusive (Database.mgr db) tx rt ~key delta)
           in
-          Ivdb_util.Metrics.add (Database.metrics db) "view.refresh_deltas" n
+          Metrics.inc_by (Metrics.counter (Database.metrics db) "view.refresh_deltas") n
       | Some _ | None -> ())
   | _ -> ()
 
@@ -222,7 +223,7 @@ let view_count db v =
   !n
 
 let on_demand_aggregate db txn def =
-  Ivdb_util.Metrics.incr (Database.metrics db) "query.on_demand_aggregate";
+  Metrics.inc (Metrics.counter (Database.metrics db) "query.on_demand_aggregate");
   let groups : (string, Row.t) Hashtbl.t = Hashtbl.create 64 in
   Seq.iter
     (fun row ->
@@ -257,7 +258,7 @@ let refresh db tx v =
         Deferred.drain tx q ~apply:(fun ~key delta ->
             Maintain.apply_delta_exclusive (Database.mgr db) tx rt ~key delta)
       in
-      Ivdb_util.Metrics.add (Database.metrics db) "view.refresh_deltas" n;
+      Metrics.inc_by (Metrics.counter (Database.metrics db) "view.refresh_deltas") n;
       n
 
 let staleness db v =

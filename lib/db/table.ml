@@ -138,7 +138,7 @@ let insert db tx tbl row =
   I.lock_row db tx tid rid Lock_mode.X;
   List.iter (fun ix -> index_insert db tx ix row.(I.ix_col ix) rid) (I.rt_indexes rt);
   propagate db tx tid 1 row;
-  Ivdb_util.Metrics.incr (Database.metrics db) "table.insert";
+  Ivdb_util.Metrics.inc (I.m_insert db);
   rid
 
 let delete db tx tbl rid =
@@ -159,7 +159,7 @@ let delete db tx tbl rid =
   I.note_ghost db tx tid rid;
   List.iter (fun ix -> index_delete db tx ix row.(I.ix_col ix) rid) (I.rt_indexes rt);
   propagate db tx tid (-1) row;
-  Ivdb_util.Metrics.incr (Database.metrics db) "table.delete"
+  Ivdb_util.Metrics.inc (I.m_delete db)
 
 let update db tx tbl rid row' =
   delete db tx tbl rid;

@@ -19,6 +19,9 @@ type sys_provider = unit -> string list * Row.t list
 
 type session = {
   sdb : Database.t;
+  m_probe : Ivdb_util.Metrics.counter;
+  m_range : Ivdb_util.Metrics.counter;
+  m_view_match : Ivdb_util.Metrics.counter;
   mutable txn : Txn.t option;
   mutable savepoints : (string * Txn.savepoint) list;
   mutable sys_ext : (string * sys_provider) list;
@@ -27,7 +30,18 @@ type session = {
          built-in resolution *)
 }
 
-let session sdb = { sdb; txn = None; savepoints = []; sys_ext = [] }
+let session sdb =
+  let c = Ivdb_util.Metrics.counter (Database.metrics sdb) in
+  {
+    sdb;
+    m_probe = c "sql.index_probe";
+    m_range = c "sql.index_range";
+    m_view_match = c "sql.view_match";
+    txn = None;
+    savepoints = [];
+    sys_ext = [];
+  }
+
 let db s = s.sdb
 let in_transaction s = s.txn <> None
 
@@ -334,7 +348,7 @@ let select_rows ?stats s txn (q : A.select) src =
     | Src_table (t, schema) -> (
         match plan_table_access s t q.A.where with
         | Plan_index_probe { p_col; p_value; p_residual; _ } ->
-            Ivdb_util.Metrics.incr (Database.metrics s.sdb) "sql.index_probe";
+            Ivdb_util.Metrics.inc s.m_probe;
             let rows =
               List.to_seq (Table.find s.sdb txn t ~col:p_col p_value) |> Seq.map snd
             in
@@ -349,7 +363,7 @@ let select_rows ?stats s txn (q : A.select) src =
             (* residual + probe already applied: hand back a no-op where *)
             (schema, rows)
         | Plan_index_range { r_col; r_lo; r_hi; r_residual; _ } ->
-            Ivdb_util.Metrics.incr (Database.metrics s.sdb) "sql.index_range";
+            Ivdb_util.Metrics.inc s.m_range;
             let col_pos = Schema.index_of schema r_col in
             let rows =
               Database.Internal.index_range_rids s.sdb txn
@@ -560,7 +574,7 @@ let select_grouped ?stats s txn (q : A.select) src =
   let results =
     match find_matching_view s def with
     | Some (_, v, mapping) ->
-        Ivdb_util.Metrics.incr (Database.metrics s.sdb) "sql.view_match";
+        Ivdb_util.Metrics.inc s.m_view_match;
         let locking = if txn = None then Query.Dirty else Query.Serializable in
         Query.view_scan s.sdb txn v locking
         |> op_count stats "stored groups read"

@@ -36,6 +36,7 @@ type t = {
   m_batched_txns : Metrics.counter;
   m_forces_avoided : Metrics.counter;
   m_stall_ticks : Metrics.counter;
+  m_async : Metrics.counter;
   h_batch : Metrics.hist;
   mutable mode : mode;
   mutable waiters : (unit -> unit) list; (* wake callbacks, newest first *)
@@ -55,6 +56,7 @@ let create ~wal ~mode ?trace metrics =
     m_batched_txns = Metrics.counter metrics "commit.batched_txns";
     m_forces_avoided = Metrics.counter metrics "commit.forces_avoided";
     m_stall_ticks = Metrics.counter metrics "commit.stall_ticks";
+    m_async = Metrics.counter metrics "commit.async";
     h_batch = Metrics.hist metrics "commit.batch";
     mode;
     waiters = [];
@@ -132,7 +134,7 @@ let commit_durable t ~lsn =
       if Wal.flushed_lsn t.wal < lsn then
         if not (Sched.in_run ()) then begin
           (* no fibers outside a scheduler run: degrade to a private force *)
-          Metrics.incr t.metrics "commit.sync_fallback";
+          Metrics.inc (Metrics.counter t.metrics "commit.sync_fallback");
           Wal.force t.wal lsn
         end
         else begin
@@ -145,7 +147,7 @@ let commit_durable t ~lsn =
           Metrics.inc_by t.m_stall_ticks (Sched.now () - t0)
         end
   | Async ->
-      Metrics.incr t.metrics "commit.async";
+      Metrics.inc t.m_async;
       if Wal.flushed_lsn t.wal < lsn then begin
         enqueue t lsn;
         (* acknowledged before the flush: a crash from here until the

@@ -29,7 +29,7 @@ let create metrics =
     snapshots = Hashtbl.create 8;
     n_snapshots = 0;
     last_stamp = 0;
-    m_live = Metrics.counter metrics "mvcc.versions_live";
+    m_live = Metrics.gauge metrics "mvcc.versions_live";
     m_pruned = Metrics.counter metrics "mvcc.versions_pruned";
   }
 

@@ -13,10 +13,12 @@ type hist = (int, int ref) Hashtbl.t
 
 type t = {
   counters : (string, counter) Hashtbl.t;
+  gauges : (string, unit) Hashtbl.t; (* counter names exported as gauges *)
   hists : (string, hist) Hashtbl.t;
 }
 
-let create () = { counters = Hashtbl.create 64; hists = Hashtbl.create 8 }
+let create () =
+  { counters = Hashtbl.create 64; gauges = Hashtbl.create 4; hists = Hashtbl.create 8 }
 
 let counter t name =
   match Hashtbl.find_opt t.counters name with
@@ -30,8 +32,11 @@ let inc c = Stdlib.incr c
 let inc_by c n = c := !c + n
 let value c = !c
 
-let add t name n = inc_by (counter t name) n
-let incr t name = add t name 1
+let gauge t name =
+  Hashtbl.replace t.gauges name ();
+  counter t name
+
+let set c n = c := n
 
 let get t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
@@ -79,8 +84,6 @@ let record h v =
   match Hashtbl.find_opt h v with
   | Some r -> Stdlib.incr r
   | None -> Hashtbl.add h v (ref 1)
-
-let observe t name v = record (hist t name) v
 
 let sorted_cells h =
   Hashtbl.fold (fun v r acc -> (v, !r) :: acc) h []
@@ -153,7 +156,8 @@ let to_prometheus ?(namespace = "ivdb") t =
   List.iter
     (fun (name, v) ->
       let n = prom_name ~namespace name in
-      Buffer.add_string b (Printf.sprintf "# TYPE %s counter\n%s %d\n" n n v))
+      let kind = if Hashtbl.mem t.gauges name then "gauge" else "counter" in
+      Buffer.add_string b (Printf.sprintf "# TYPE %s %s\n%s %d\n" n kind n v))
     (snapshot t);
   List.iter
     (fun (name, cells) ->

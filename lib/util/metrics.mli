@@ -6,12 +6,14 @@
     exact value counts (no bucketing); they back distribution-shaped
     telemetry such as the group-commit batch-size histogram.
 
-    Hot paths should resolve a typed {!counter} or {!hist} handle once at
-    subsystem-create time and bump it with {!inc} / {!record}: the
-    steady-state cost is then a ref increment, not a per-event hashtable
-    lookup. The stringly [incr]/[add]/[observe] API remains for cold call
-    sites and ad-hoc reporting; both routes land in the same cells, and
-    the name→value snapshot API sees them identically. *)
+    Every write goes through a typed {!counter} or {!hist} handle. Hot
+    paths resolve the handle once at subsystem-create time and bump it
+    with {!inc} / {!record}, so the steady-state cost is a ref increment,
+    not a per-event hashtable lookup; a one-shot site resolves and bumps
+    in one expression ([inc_by (counter m name) n]). Resolving a name
+    twice returns the same cell, and the name→value read API ({!get},
+    {!snapshot}) sees every cell. A cell marked with {!gauge} may go
+    down and is exported as a Prometheus gauge. *)
 
 type t
 
@@ -39,10 +41,17 @@ val hist : t -> string -> hist
 val record : hist -> int -> unit
 (** Record one occurrence of an integer value. *)
 
-(** {1 Stringly API (cold paths)} *)
+val gauge : t -> string -> counter
+(** {!counter}, marking the cell as a gauge: a level that may go down
+    (live versions, undelivered decisions) rather than an event count.
+    {!to_prometheus} renders it [# TYPE ns_name gauge]; [counter t name]
+    still returns the same cell. *)
 
-val incr : t -> string -> unit
-val add : t -> string -> int -> unit
+val set : counter -> int -> unit
+(** Overwrite a gauge's level. *)
+
+(** {1 Reading and resetting} *)
+
 val get : t -> string -> int
 (** 0 for counters never bumped. *)
 
@@ -57,9 +66,6 @@ val diff : before:(string * int) list -> after:(string * int) list -> (string * 
 (** Per-counter [after - before]; counters absent on one side count as 0. *)
 
 (** {1 Histograms} *)
-
-val observe : t -> string -> int -> unit
-(** Record one occurrence of an integer value under a histogram name. *)
 
 val hist_snapshot : t -> string -> (int * int) list
 (** (value, occurrences), sorted by value; [] for unknown names. *)
@@ -92,7 +98,8 @@ val percentile_cells : (int * int) list -> float -> int
 
 val to_prometheus : ?namespace:string -> t -> string
 (** Prometheus text exposition (format 0.0.4). Counters render as
-    [# TYPE ns_name counter] plus a value line; histograms render with
+    [# TYPE ns_name counter] (gauges as [# TYPE ns_name gauge]) plus a
+    value line; histograms render with
     cumulative [_bucket{le="v"}] lines (one per distinct observed value,
     plus [le="+Inf"]), [_sum], and [_count]. Metric names are sanitized
     to [A-Za-z0-9_] and prefixed with [namespace] (default ["ivdb"]).

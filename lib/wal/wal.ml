@@ -29,6 +29,7 @@ type t = {
   m_append : Metrics.counter;
   m_bytes : Metrics.counter;
   m_force : Metrics.counter;
+  m_ingested : Metrics.counter Lazy.t;
   force_cost : int;
 }
 
@@ -53,6 +54,9 @@ let create ?trace metrics =
     m_append = Metrics.counter metrics "log.append";
     m_bytes = Metrics.counter metrics "log.bytes";
     m_force = Metrics.counter metrics "log.force";
+    (* resolved on first ingest, so a log that never ingests (a
+       coordinator's decision log) exports no log.ingested family *)
+    m_ingested = lazy (Metrics.counter metrics "log.ingested");
     force_cost = 100;
   }
 
@@ -260,7 +264,8 @@ let crash t ?trace metrics =
       | _ -> ())
     copy.records;
   let dropped = t.flushed - t.base - copy.len in
-  if dropped > 0 then Metrics.add metrics "wal.torn_tail_dropped" dropped;
+  if dropped > 0 then
+    Metrics.inc_by (Metrics.counter metrics "wal.torn_tail_dropped") dropped;
   copy
 
 (* Replica ingestion: install an already-sequenced record shipped from a
@@ -283,7 +288,7 @@ let ingest t r =
   t.records.(t.len) <- r;
   t.len <- t.len + 1;
   track_boundary t r;
-  Metrics.add t.metrics "log.ingested" 1;
+  Metrics.inc (Lazy.force t.m_ingested);
   Metrics.inc_by t.m_bytes (Log_record.byte_size r);
   flush_range t r.Log_record.lsn
 
@@ -299,7 +304,7 @@ let truncate_before t lsn =
     t.base <- t.base + drop;
     t.len <- t.len - drop;
     t.boundaries <- List.filter (fun b -> b > t.base) t.boundaries;
-    Metrics.add t.metrics "log.truncated_records" drop
+    Metrics.inc_by (Metrics.counter t.metrics "log.truncated_records") drop
   end
 
 let stable_byte_size t = t.bytes_flushed
